@@ -36,7 +36,7 @@ var (
 	listen     = flag.String("listen", "127.0.0.1:4040", "UDP address to receive LAPS wire-format datagrams on (:0 picks a free port)")
 	httpAddr   = flag.String("http", "", "serve admin endpoints (/metrics, /healthz, /debug/pprof) on this address (:0 picks a free port)")
 	workers    = flag.Int("workers", 4, "worker goroutines; the wire can carry any service, so at least the 4 service classes are needed")
-	disp       = flag.Int("dispatchers", 0, "ingress dispatcher shards (0 = classic single dispatcher)")
+	disp       = flag.Int("dispatchers", 0, "async dispatcher shards (0 = one inline shard on the socket reader)")
 	ringCap    = flag.Int("ring", 0, "per-worker SPSC ring capacity (0 = default 256)")
 	batch      = flag.Int("batch", 0, "dispatch/consume batch size (0 = default 32)")
 	sockets    = flag.Int("sockets", 1, "SO_REUSEPORT sockets (and reader goroutines) on -listen; >1 needs Linux, elsewhere falls back to one socket")

@@ -77,7 +77,7 @@ var (
 
 	live        = flag.Bool("live", false, "run one scenario on live goroutine workers instead of the simulator")
 	liveWorkers = flag.Int("live-workers", 4, "live mode: worker goroutines (cores)")
-	liveDisp    = flag.Int("live-dispatchers", 0, "live mode: ingress dispatcher shards resolving flows lock-free against published forwarding snapshots (0 = classic single dispatcher)")
+	liveDisp    = flag.Int("live-dispatchers", 0, "live mode: ingress dispatcher shards resolving flows lock-free against published forwarding snapshots (0 = one inline shard scheduling on the arrival goroutine)")
 	livePace    = flag.Float64("live-pace", 0, "live mode: playback speed vs the virtual clock (1 = real time, 0 = flat out)")
 	liveWork    = flag.String("live-work", "none", "live mode: per-packet work emulation (none|spin|sleep)")
 	liveBlock   = flag.Bool("live-block", false, "live mode: apply backpressure instead of dropping on full rings")

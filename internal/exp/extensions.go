@@ -238,7 +238,7 @@ func extRestoration(opts Options) Table {
 		j := jobs[i]
 		eng := sim.NewEngine()
 		_ = eng
-		tracker := npsim.NewReorderTracker()
+		tracker := npsim.NewTracker(npsim.TrackerConfig{})
 		var buf *rob.Buffer
 		var sys *npsim.System
 		if j.useROB {

@@ -56,8 +56,7 @@ func ParseMemoryClass(s string) (MemoryClass, error) {
 }
 
 // TrackerConfig configures a ReorderTracker. The zero value is an
-// unbounded exact tracker with the default size hint — identical to the
-// historical NewReorderTracker.
+// unbounded exact tracker with the default size hint.
 type TrackerConfig struct {
 	// SizeHint pre-sizes the exact table for about this many flows
 	// (default 1<<14). Sharded callers pass small hints so the combined
@@ -162,8 +161,7 @@ type fifoEntry struct {
 }
 
 // NewTracker builds a tracker from a TrackerConfig. This is the one
-// constructor; NewReorderTracker/NewReorderTrackerSized/
-// NewReorderTrackerCap are thin deprecated wrappers over it.
+// constructor.
 func NewTracker(cfg TrackerConfig) *ReorderTracker {
 	hint := cfg.SizeHint
 	if hint <= 0 {
@@ -201,34 +199,6 @@ func NewTracker(cfg TrackerConfig) *ReorderTracker {
 			budget: cfg.FlowBudget,
 		}
 	}
-}
-
-// NewReorderTracker returns an empty, unbounded exact tracker.
-//
-// Deprecated: use NewTracker(TrackerConfig{}).
-func NewReorderTracker() *ReorderTracker {
-	return NewTracker(TrackerConfig{})
-}
-
-// NewReorderTrackerSized returns an unbounded exact tracker pre-sized
-// for about hint flows, growing past that on demand.
-//
-// Deprecated: use NewTracker(TrackerConfig{SizeHint: hint}).
-func NewReorderTrackerSized(hint int) *ReorderTracker {
-	return NewTracker(TrackerConfig{SizeHint: hint})
-}
-
-// NewReorderTrackerCap returns a tracker that holds at most capacity
-// per-flow watermarks, evicting the oldest-inserted flow when a new one
-// would exceed it. capacity <= 0 means unbounded.
-//
-// Deprecated: use NewTracker(TrackerConfig{FlowBudget: capacity,
-// Memory: MemoryExact}).
-func NewReorderTrackerCap(capacity int) *ReorderTracker {
-	if capacity <= 0 {
-		return NewTracker(TrackerConfig{})
-	}
-	return NewTracker(TrackerConfig{FlowBudget: capacity, Memory: MemoryExact})
 }
 
 // Record notes one departing packet and reports whether it was out of

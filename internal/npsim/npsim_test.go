@@ -296,7 +296,7 @@ func TestReorderAcrossCores(t *testing.T) {
 }
 
 func TestReorderTrackerGapsAreNotReorders(t *testing.T) {
-	r := NewReorderTracker()
+	r := NewTracker(TrackerConfig{})
 	p0 := mkPacket(1, 1, 0, 0)
 	p2 := mkPacket(3, 1, 2, 0) // seq 1 was dropped
 	p3 := mkPacket(4, 1, 3, 0)
@@ -559,7 +559,7 @@ func TestLatencyHistogramPerService(t *testing.T) {
 }
 
 func TestReorderTrackerReset(t *testing.T) {
-	r := NewReorderTracker()
+	r := NewTracker(TrackerConfig{})
 	r.Record(mkPacket(1, 1, 5, 0))
 	r.Record(mkPacket(2, 2, 0, 0))
 	r.Record(mkPacket(3, 1, 0, 0)) // late for flow 1

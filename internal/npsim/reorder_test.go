@@ -11,7 +11,7 @@ func flowN(n uint32) packet.FlowKey {
 }
 
 func TestReorderTrackerUnboundedDefault(t *testing.T) {
-	for _, r := range []*ReorderTracker{NewReorderTracker(), NewReorderTrackerCap(0)} {
+	for _, r := range []*ReorderTracker{NewTracker(TrackerConfig{}), NewTracker(TrackerConfig{Memory: MemoryExact})} {
 		for i := uint32(0); i < 100; i++ {
 			r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
 		}
@@ -22,7 +22,7 @@ func TestReorderTrackerUnboundedDefault(t *testing.T) {
 }
 
 func TestReorderTrackerCapEvictsFIFO(t *testing.T) {
-	r := NewReorderTrackerCap(4)
+	r := NewTracker(TrackerConfig{FlowBudget: 4, Memory: MemoryExact})
 	for i := uint32(0); i < 10; i++ {
 		if ooo := r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0}); ooo {
 			t.Fatalf("fresh flow %d reported out of order", i)
@@ -48,7 +48,7 @@ func TestReorderTrackerCapEvictsFIFO(t *testing.T) {
 
 func TestReorderTrackerCapRereferenceDoesNotEvict(t *testing.T) {
 	// Re-recording a tracked flow must not count as a new insertion.
-	r := NewReorderTrackerCap(2)
+	r := NewTracker(TrackerConfig{FlowBudget: 2, Memory: MemoryExact})
 	a, b := flowN(1), flowN(2)
 	for seq := uint64(0); seq < 50; seq++ {
 		r.Record(&packet.Packet{Flow: a, FlowSeq: seq})
@@ -65,7 +65,7 @@ func TestReorderTrackerCapRereferenceDoesNotEvict(t *testing.T) {
 func TestReorderTrackerCapCompaction(t *testing.T) {
 	// Push enough churn through a small cap to force the FIFO's
 	// amortised compaction path (head > 1024).
-	r := NewReorderTrackerCap(64)
+	r := NewTracker(TrackerConfig{FlowBudget: 64, Memory: MemoryExact})
 	const flows = 8000
 	for i := uint32(0); i < flows; i++ {
 		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
@@ -82,7 +82,7 @@ func TestReorderTrackerCapCompaction(t *testing.T) {
 }
 
 func TestReorderTrackerResetKeepsCap(t *testing.T) {
-	r := NewReorderTrackerCap(2)
+	r := NewTracker(TrackerConfig{FlowBudget: 2, Memory: MemoryExact})
 	for i := uint32(0); i < 5; i++ {
 		r.Record(&packet.Packet{Flow: flowN(i), FlowSeq: 0})
 	}

@@ -11,7 +11,7 @@ import (
 // reuse the constructor's clamped map hint, not reallocate the 1<<14
 // unbounded-default map a cap-64 tracker can never fill.
 func TestResetKeepsBoundedSizing(t *testing.T) {
-	tr := NewReorderTrackerCap(64)
+	tr := NewTracker(TrackerConfig{FlowBudget: 64, Memory: MemoryExact})
 	for i := 0; i < 200; i++ {
 		tr.Record(&packet.Packet{Flow: packet.FlowKey{SrcIP: uint32(i)}, FlowSeq: 0})
 	}

@@ -98,12 +98,12 @@ const (
 	EvFenceEnd
 	// EvRecoveryStart: recovery began seizing and draining a dead
 	// worker's rings. Opens a span closed by EvRecoveryEnd. Core = the
-	// dead worker, Core2 = the recovering shard (-1 for the legacy
+	// dead worker, Core2 = the recovering shard (0 for an inline
 	// engine), Val = the backlog visible at seize time.
 	EvRecoveryStart
 	// EvRecoveryEnd: recovery finished re-injecting the dead worker's
 	// backlog. Core = the dead worker, Core2 = the recovering shard
-	// (-1 for the legacy engine), Val = the recovery duration in
+	// (0 for an inline engine), Val = the recovery duration in
 	// nanoseconds.
 	EvRecoveryEnd
 

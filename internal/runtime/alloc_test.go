@@ -99,7 +99,7 @@ func testDispatchZeroAlloc(t *testing.T, instrumented bool) {
 }
 
 // TestDispatchBurstZeroAlloc pins the burst path's allocation contract
-// on the legacy engine: grouping a 64-packet burst by flow, resolving
+// on an inline engine: grouping a 64-packet burst by flow, resolving
 // each group once, staging whole runs and flushing allocates nothing
 // per burst once warm — the scratch tables are engine-owned and the
 // flow groups reuse the chunk-sized arrays.

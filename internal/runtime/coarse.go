@@ -16,8 +16,7 @@ package runtime
 // scheduling granularity, not correctness: colliding flows migrate
 // together and only when the whole bucket drains.
 //
-// Each dispatcher (legacy engine, or each shard) owns one; flows reach
-// exactly one dispatcher, so no locking. A shard serving every hash h
+// Each shard owns one; flows reach exactly one shard, so no locking. A shard serving every hash h
 // with h % nshards == shard stores bucket h/nshards, a bijection within
 // the shard — so one bucket is one hash value, and recovery rerouting
 // by hash lands every member of a bucket on the same worker.

@@ -383,30 +383,31 @@ func TestFlowTableSweepRateLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.enqSeq[0] = 1
+	sh := e.shards[0] // the inline shard owns the flow table
+	sh.enqSeq[0] = 1
 	for i := 0; i < cap; i++ {
 		k := fkey(i)
-		e.flows.Put(k, crc.FlowHash(k), flowState{core: 0, seq: 1}) // in flight: seq > processed(0)
+		sh.flows.Put(k, crc.FlowHash(k), flowState{core: 0, seq: 1}) // in flight: seq > processed(0)
 	}
-	e.rememberFlow(fkey(5000), crc.FlowHash(fkey(5000)), 0, 0)
-	if e.sweepHold == 0 {
+	sh.rememberFlowSeen(fkey(5000), crc.FlowHash(fkey(5000)), 0, 0, false)
+	if sh.sweepHld == 0 {
 		t.Fatal("futile sweep at cap did not arm the hold-off")
 	}
-	hold := e.sweepHold
+	hold := sh.sweepHld
 	if hold != cap/16 {
 		t.Fatalf("hold-off %d, want cap/16 = %d", hold, cap/16)
 	}
 	for i := 0; i < hold; i++ {
-		e.rememberFlow(fkey(6000+i), crc.FlowHash(fkey(6000+i)), 0, 0) // consumes the hold without sweeping
+		sh.rememberFlowSeen(fkey(6000+i), crc.FlowHash(fkey(6000+i)), 0, 0, false) // consumes the hold without sweeping
 	}
-	if e.sweepHold != 0 {
-		t.Fatalf("hold-off not consumed: %d left", e.sweepHold)
+	if sh.sweepHld != 0 {
+		t.Fatalf("hold-off not consumed: %d left", sh.sweepHld)
 	}
 	// Everything is now drained; the next at-cap insert must sweep.
-	e.workers[0].processed.Store(10)
-	e.rememberFlow(fkey(9000), crc.FlowHash(fkey(9000)), 0, 0)
-	if e.flows.Len() != 1 {
-		t.Fatalf("sweep after hold-off expiry left %d entries, want 1", e.flows.Len())
+	e.workers[0].retired[0].Store(10) // the shard's fence signal
+	sh.rememberFlowSeen(fkey(9000), crc.FlowHash(fkey(9000)), 0, 0, false)
+	if sh.flows.Len() != 1 {
+		t.Fatalf("sweep after hold-off expiry left %d entries, want 1", sh.flows.Len())
 	}
 }
 
@@ -419,10 +420,11 @@ func BenchmarkFlowTableAtCapInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.enqSeq[0] = 1
+	sh := e.shards[0]
+	sh.enqSeq[0] = 1
 	for i := 0; i < cap; i++ {
 		k := fkey(i)
-		e.flows.Put(k, crc.FlowHash(k), flowState{core: 0, seq: 1})
+		sh.flows.Put(k, crc.FlowHash(k), flowState{core: 0, seq: 1})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -432,7 +434,7 @@ func BenchmarkFlowTableAtCapInsert(b *testing.B) {
 		// than a table growing with b.N.
 		k := fkey(10000 + i)
 		h := crc.FlowHash(k)
-		e.rememberFlow(k, h, 0, 0)
-		e.flows.Delete(k, h)
+		sh.rememberFlowSeen(k, h, 0, 0, false)
+		sh.flows.Delete(k, h)
 	}
 }

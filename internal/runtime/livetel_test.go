@@ -17,6 +17,26 @@ import (
 	"laps/internal/obs/telemetry"
 )
 
+// checkCountersReconcile asserts that the scrape-time counters a
+// /metrics read reports equal the Result fields Stop assembled: both
+// read the same engine counters, so any gap is a counter kept twice.
+func checkCountersReconcile(t *testing.T, snap map[string]any, res *Result) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"laps_dropped_total", res.Dropped},
+		{"laps_migrations_total", res.Migrations},
+		{"laps_fenced_total", res.Fenced},
+		{"laps_reinjected_total", res.Reinjected},
+	} {
+		if got := snap[c.name].(uint64); got != c.want {
+			t.Fatalf("%s %d != Result %d", c.name, got, c.want)
+		}
+	}
+}
+
 // histCount digs one histogram's sample count out of a registry
 // snapshot.
 func histCount(t *testing.T, snap map[string]any, name string) uint64 {
@@ -28,7 +48,7 @@ func histCount(t *testing.T, snap map[string]any, name string) uint64 {
 	return h["count"].(uint64)
 }
 
-// TestEngineTelemetryReconciles runs the legacy engine through a
+// TestEngineTelemetryReconciles runs an inline engine through a
 // migration storm plus a worker kill with the full telemetry stack on,
 // then cross-checks every histogram against Result and the recorder.
 func TestEngineTelemetryReconciles(t *testing.T) {
@@ -67,6 +87,7 @@ func TestEngineTelemetryReconciles(t *testing.T) {
 	if res.WorkerDeaths == 0 {
 		t.Fatal("kill fault produced no deaths")
 	}
+	checkCountersReconcile(t, snap, res)
 
 	// Every retirement records latency and ring wait exactly once.
 	if got := histCount(t, snap, "laps_packet_latency_seconds"); got != res.Processed {
@@ -146,7 +167,7 @@ func TestEngineTelemetryReconciles(t *testing.T) {
 
 // TestShardedTelemetryReconciles is the sharded twin: snapshot-routed
 // migration flapping with the registry attached, checking the
-// shard-lane histograms (staleness in particular has no legacy
+// shard-lane histograms (staleness in particular has no inline
 // equivalent).
 func TestShardedTelemetryReconciles(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -179,6 +200,7 @@ func TestShardedTelemetryReconciles(t *testing.T) {
 	if got := snap["laps_snapshots_total"].(uint64); got != res.Snapshots {
 		t.Fatalf("laps_snapshots_total %d != Snapshots %d", got, res.Snapshots)
 	}
+	checkCountersReconcile(t, snap, res)
 	// Every non-empty ingress batch records the view age it resolved
 	// against.
 	if histCount(t, snap, "laps_snapshot_staleness_seconds") == 0 {

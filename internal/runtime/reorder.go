@@ -28,18 +28,11 @@ type sharedTracker struct {
 }
 
 // trackerConfig maps an engine Config onto the per-flow tracker knobs:
-// FlowBudget + Memory take precedence (the unified knob); the legacy
-// ReorderCap maps onto an exact FIFO-capped tracker; the zero config is
-// exact and unbounded.
+// FlowBudget + Memory bound the watermarks; the zero config is exact
+// and unbounded.
 func trackerConfig(cfg Config) npsim.TrackerConfig {
-	if cfg.Memory == npsim.MemorySketch || (cfg.FlowBudget > 0 && cfg.Memory == npsim.MemoryAuto) {
+	if cfg.FlowBudget > 0 || cfg.Memory == npsim.MemorySketch {
 		return npsim.TrackerConfig{FlowBudget: cfg.FlowBudget, Memory: cfg.Memory}
-	}
-	if cfg.FlowBudget > 0 { // MemoryExact: budget is a hard FIFO cap
-		return npsim.TrackerConfig{FlowBudget: cfg.FlowBudget, Memory: npsim.MemoryExact}
-	}
-	if cfg.ReorderCap > 0 {
-		return npsim.TrackerConfig{FlowBudget: cfg.ReorderCap, Memory: npsim.MemoryExact}
 	}
 	return npsim.TrackerConfig{}
 }
@@ -104,63 +97,32 @@ func (s *sharedTracker) recordBatch(buf []*packet.Packet, n int) uint64 {
 	return ooo
 }
 
+// sum folds one tracker statistic across shards, reading each shard
+// under its lock.
+func (s *sharedTracker) sum(stat func(*npsim.ReorderTracker) uint64) uint64 {
+	var n uint64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n += stat(sh.t)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // outOfOrder sums out-of-order departures across shards.
-func (s *sharedTracker) outOfOrder() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.OutOfOrder()
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *sharedTracker) outOfOrder() uint64 { return s.sum((*npsim.ReorderTracker).OutOfOrder) }
 
-// estimatedOOO sums sketch-flagged out-of-order departures across
-// shards.
-func (s *sharedTracker) estimatedOOO() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.EstimatedOOO()
-		sh.mu.Unlock()
-	}
-	return n
-}
+// estimatedOOO sums sketch-flagged out-of-order departures.
+func (s *sharedTracker) estimatedOOO() uint64 { return s.sum((*npsim.ReorderTracker).EstimatedOOO) }
 
-// budgetHits sums exact→sketch degrade transitions across shards.
-func (s *sharedTracker) budgetHits() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.BudgetHits()
-		sh.mu.Unlock()
-	}
-	return n
-}
+// budgetHits sums exact→sketch degrade transitions.
+func (s *sharedTracker) budgetHits() uint64 { return s.sum((*npsim.ReorderTracker).BudgetHits) }
 
-// evicted sums evicted flow watermarks across shards.
-func (s *sharedTracker) evicted() uint64 {
-	var n uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.Evicted()
-		sh.mu.Unlock()
-	}
-	return n
-}
+// evicted sums evicted flow watermarks.
+func (s *sharedTracker) evicted() uint64 { return s.sum((*npsim.ReorderTracker).Evicted) }
 
-// flows sums tracked flows across shards.
+// flows sums tracked flows.
 func (s *sharedTracker) flows() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.t.Flows()
-		sh.mu.Unlock()
-	}
-	return n
+	return int(s.sum(func(t *npsim.ReorderTracker) uint64 { return uint64(t.Flows()) }))
 }

@@ -1,10 +1,11 @@
 // Package runtime is the live execution engine: it runs a packet
 // scheduler (core.LAPS or any npsim.Scheduler) against real goroutine
 // "cores" instead of the discrete-event simulator. One worker goroutine
-// per core consumes a bounded single-producer/single-consumer ring;
-// a single dispatcher goroutine makes scheduling decisions and routes
-// packets, so the control plane stays sequential (and deterministic in
-// its inputs) while the data plane is genuinely concurrent.
+// per core consumes a bounded single-producer/single-consumer ring per
+// dispatcher shard; the scheduler runs on one goroutine — the caller's
+// for an inline shard, a control plane's for async shards — so the
+// control plane stays sequential (and deterministic in its inputs)
+// while the data plane is genuinely concurrent.
 //
 // Reordering in this engine arises from real queueing races — two
 // workers draining different rings at different speeds — which is the
@@ -71,18 +72,23 @@ func NewRing(capacity int) *Ring {
 func (r *Ring) Cap() int { return len(r.buf) }
 
 // Len returns the current occupancy. It is exact when called from the
-// producer (dispatcher push/flush paths) or the consumer (worker drain
+// producer (shard push/flush paths) or the consumer (worker drain
 // check), because each owns one of the two indices. Any third goroutine
 // — the metrics sampler, the scheduler's QueueLen view — gets a
-// conservative racy snapshot that is always in [0, Cap]: head is loaded
-// BEFORE tail, so a concurrent consumer can only make the result larger
-// and a concurrent producer can only add packets that were really
-// pushed. Loading tail first would allow head(t1) > tail(t0) and an
-// underflowed garbage length.
+// conservative racy snapshot in [0, Cap]: head is loaded BEFORE tail,
+// so a concurrent consumer can only make the result larger and a
+// concurrent producer can only add packets that were really pushed.
+// Loading tail first would allow head(t1) > tail(t0) and an underflowed
+// garbage length. A reader descheduled between the two loads can still
+// see the ring turn over more than once, so the result is clamped to
+// Cap.
 func (r *Ring) Len() int {
 	h := r.head.Load()
 	t := r.tail.Load()
-	return int(t - h)
+	if n := t - h; n < uint64(len(r.buf)) {
+		return int(n)
+	}
+	return len(r.buf)
 }
 
 // Push appends one packet. It returns false when the ring is full.

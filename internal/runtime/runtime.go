@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"laps/internal/crc"
-	"laps/internal/flowtab"
 	"laps/internal/npsim"
 	"laps/internal/obs"
 	"laps/internal/obs/telemetry"
@@ -43,7 +42,8 @@ type Config struct {
 	// Batch is the dispatch/consume batch size; 0 means 32.
 	Batch int
 	// Sched picks the target worker per packet. Required. Called only
-	// from the dispatcher goroutine.
+	// from one goroutine: the caller's on an inline engine, the control
+	// plane's on a sharded one.
 	Sched npsim.Scheduler
 	// Policy is the full-ring behaviour (default DropWhenFull).
 	Policy Policy
@@ -81,10 +81,6 @@ type Config struct {
 	// and throughput/drop/reorder rates on the wall clock into
 	// Result.Series.
 	MetricsInterval time.Duration
-	// ReorderCap bounds the egress reorder tracker's per-flow state by
-	// FIFO eviction; 0 keeps exact (unbounded) tracking. Subsumed by
-	// FlowBudget, which bounds every per-flow structure coherently.
-	ReorderCap int
 	// FlowBudget bounds all per-flow state — reorder watermarks and the
 	// fence table — according to Memory. 0 keeps today's exact
 	// behaviour. Under MemoryAuto the budget is the live-flow count past
@@ -107,24 +103,24 @@ type Config struct {
 	// Faults, when non-nil, injects deterministic worker faults
 	// (stall / slow / kill) at batch boundaries. See FaultPlan.
 	Faults *FaultPlan
-	// Dispatchers selects the sharded data plane: N >= 1 ingress shards
-	// partition flows by CRC16 over the 5-tuple and resolve packet→worker
-	// lock-free against the control plane's current ForwardingView
-	// snapshot. Consumed by NewSharded; New (the legacy single-dispatcher
-	// engine, where the scheduler runs inline on the dispatch path)
-	// rejects a non-zero value so the two modes cannot be mixed silently.
+	// Dispatchers selects how many async shards NewSharded builds: N >= 1
+	// ingress shards partition flows by CRC16 over the 5-tuple and
+	// resolve packet→worker lock-free against the control plane's
+	// current ForwardingView snapshot. New builds one inline shard, which
+	// consults the scheduler on the caller's goroutine, and rejects a
+	// non-zero value so the two constructors cannot be mixed silently.
 	Dispatchers int
-	// IngressCap is each shard's ingress ring capacity (rounded up to a
-	// power of two); 0 means 4096. Sharded engine only.
+	// IngressCap is each async shard's ingress ring capacity (rounded up
+	// to a power of two); 0 means 4096.
 	IngressCap int
-	// SampleEvery decimates the flow/load observations each shard feeds
-	// the control plane: 1 in every SampleEvery packets is sampled; 0
-	// means 1 (every packet). Sharded engine only.
+	// SampleEvery decimates the flow/load observations each async shard
+	// feeds the control plane: 1 in every SampleEvery packets is
+	// sampled; 0 means 1 (every packet).
 	SampleEvery int
-	// FeedbackCap bounds each shard's observation channel to the control
-	// plane; when full, observations are dropped (counted in
+	// FeedbackCap bounds each async shard's observation channel to the
+	// control plane; when full, observations are dropped (counted in
 	// Result.FeedbackDropped) rather than backpressuring the data plane.
-	// 0 means 4096. Sharded engine only.
+	// 0 means 4096.
 	FeedbackCap int
 	// Pool, when non-nil, recycles packets through the data plane: the
 	// dispatcher returns dropped packets to it and workers return every
@@ -134,11 +130,11 @@ type Config struct {
 	// Handler set, the handler must not retain the packet past its
 	// return. Zero-alloc steady state depends on this being set.
 	Pool *packet.Pool
-	// DetectWindow enables the health monitor on the dispatcher path: a
-	// worker holding backlog that makes no progress for this long is
-	// quarantined and its state recovered onto the surviving workers.
-	// 0 disables monitoring (crashed workers are then reaped only when
-	// the dispatcher next touches them, or at Stop).
+	// DetectWindow enables the health monitor: a worker holding backlog
+	// that makes no progress for this long is quarantined and its state
+	// recovered onto the surviving workers. 0 disables stall detection
+	// (crashed workers are then reaped when the data path next touches
+	// them, when a sharded control plane scans, or at Stop).
 	//
 	// Sizing: the window must comfortably exceed the longest legitimate
 	// pause between retirements — in particular a WorkSleep batch's
@@ -208,75 +204,94 @@ type Result struct {
 	// its old worker, first fenced packet to release (including forced
 	// releases). Zero when no fence ever opened.
 	MaxFenceHold time.Duration
-	// MaxSnapshotStaleness is the oldest forwarding view any shard
-	// resolved a batch against (age of the view at resolve time).
-	// Sharded engine only; the legacy engine schedules inline and has
-	// no snapshot to go stale.
+	// MaxSnapshotStaleness is the oldest forwarding view any async shard
+	// resolved a batch against (age of the view at resolve time). Zero
+	// on an inline engine, which schedules live and has no snapshot to
+	// go stale.
 	MaxSnapshotStaleness time.Duration
 
-	// Sharded-engine accounting (zero under the legacy engine).
+	// Async-shard accounting (zero on an inline engine).
 	Snapshots       uint64 // forwarding-view publishes by the control plane
 	FeedbackDropped uint64 // sampled observations lost to full feedback channels
-	Dispatchers     int    // ingress shards the run used (0 = legacy engine)
+	Dispatchers     int    // async shards the run used (0 = one inline shard)
 }
 
-// routing outcome of one fence resolution (see DispatchTo).
-const (
-	routePlain = iota
-	routeMigrated
-	routeFenced
-	routeForced
-)
-
-// Engine runs a scheduler against real goroutine workers. Construct
-// with New, call Start, feed packets through Dispatch (or DispatchTo)
-// from a single goroutine, then Stop to drain and collect the Result.
+// Engine is the live data plane: worker goroutines, each consuming one
+// SPSC ring per dispatcher shard, fed by shards that resolve every flow
+// run to a worker under the migration fence. There is one
+// implementation and two shapes of shard:
+//
+//   - New builds one inline shard. It has no ingress ring and no
+//     control-plane goroutine: Dispatch, DispatchTo and DispatchBurst
+//     run it on the caller's goroutine against the live scheduler.
+//   - NewSharded builds Config.Dispatchers async shards, each a
+//     goroutine draining an ingress ring and resolving against the
+//     forwarding snapshot a control-plane goroutine publishes.
+//
+// Dispatch/Ingest and DispatchBurst/IngestBurst are two names for one
+// entry point each, so callers of either constructor keep their
+// vocabulary; the body branches on the shard shape. Feed an engine
+// from a single goroutine, then Stop it to drain and collect the
+// Result.
+//
+// Ordering: per-flow order is preserved by construction. A flow maps
+// to exactly one shard (flow-affine ingress), the shard enqueues its
+// packets into exactly one ring at a time, and the per-shard migration
+// fence — enqueue seq per (shard, worker) checked against the worker's
+// per-ring retired count — refuses to move the flow while any of its
+// packets are unretired on the old worker. Snapshot staleness can
+// delay a migration by one publish; it can never reorder a flow.
 type Engine struct {
 	cfg     Config
+	inline  bool
 	workers []*worker
-	staged  [][]*packet.Packet
-	enqSeq  []uint64      // per-worker packets handed over (staged + pushed)
-	burst   *burstScratch // flow-run grouping state for DispatchBurst
-	occ     []int         // per-worker occupancy cache, valid within one burst (-1 = stale)
+	shards  []*shard
 
-	flows      *flowtab.Table[flowState]
-	flowCap    int
-	sweepHold  int          // new-flow inserts to skip sweeping for (after a futile sweep)
-	coarse     *coarseFence // hash-bucket fencing past the flow budget (nil = exact)
-	budgetable bool         // FlowBudget set and Memory allows degrading
-	budgetHits atomic.Uint64
-	tracker    *sharedTracker
-	rec        *obs.Recorder
-	tel        engineTel // zero value when Config.Telemetry is nil: every hist is a nil no-op
+	tracker *sharedTracker
+	rec     *obs.Recorder // control-plane events; merged into at Stop
+	ingRec  *obs.Recorder // async ingress drop events (nil when inline)
+	tel     engineTel     // zero value when Config.Telemetry is nil: every hist is a nil no-op
+	sp      npsim.SnapshotProvider
+	bs      npsim.BurstScheduler // Sched when it can take a flow run in one call, else nil
 
-	start    time.Time // runtime clock epoch, stamped at New (pre-Start events need it)
+	view     atomic.Pointer[dataPlaneView]
+	feedback []*feedRing
+
+	// ingScratch stages an async IngestBurst's packets per shard
+	// (ingress goroutine only), so a multi-shard burst costs one ring
+	// reservation per (shard, burst).
+	ingScratch [][]*packet.Packet
+
+	start    time.Time // runtime clock epoch, stamped at construction (pre-Start events need it)
 	runStart time.Time // Start instant, for Elapsed
 	ctx      context.Context
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // workers
+	swg      sync.WaitGroup // async shards
+	cpStop   chan struct{}
+	cpDone   chan struct{}
 
 	dispatched atomic.Uint64
-	dropped    atomic.Uint64
+	dropped    atomic.Uint64 // ingress, full-ring, unroutable and stranded drops
 	perWDrop   []atomic.Uint64
-	migrations atomic.Uint64
-	fenced     atomic.Uint64
 
-	// Fault-tolerance state. Only the dispatcher goroutine writes; the
-	// counters are atomics so the admin /metrics scraper can read them
-	// mid-run without racing it.
-	dead       []bool        // quarantined workers (dispatcher-only)
-	deadPub    []atomic.Bool // quarantine verdicts published for /healthz and scrapes
-	live       []int         // indices of non-quarantined workers
-	mon        *healthMon
-	inRecovery bool
-	stalls     atomic.Uint64
-	deaths     atomic.Uint64
-	reinjected atomic.Uint64
-	recovered  atomic.Uint64
-	forced     atomic.Uint64
-	stranded   uint64
-	maxDetect  atomic.Int64 // ns; single writer (dispatcher)
+	// Control-plane state, written by one goroutine: the control plane's
+	// when sharded, the caller's when inline. The counters are atomics
+	// so the admin /metrics scraper can read them mid-run.
+	health    []workerHealth
+	liveIdx   []int
+	mon       *healthMon
+	pubGen    uint64
+	snapshots atomic.Uint64
+	stalls    atomic.Uint64
+	deaths    atomic.Uint64
+	maxDetect atomic.Int64 // ns; single writer (control plane)
 
-	maxFenceHold atomic.Int64 // ns; single writer (dispatcher)
+	maxFenceHold atomic.Int64 // ns; shard writers race via load-compare-store, see noteMax
+	maxStaleness atomic.Int64 // ns; same
+	// scanEpoch counts completed health scans; async shards wait on it
+	// at shutdown so a death that precedes ingress close is always
+	// quarantined (and drained) before the shards exit.
+	scanEpoch atomic.Uint64
 
 	sampler     *obs.Sampler
 	samplerStop chan struct{}
@@ -285,25 +300,52 @@ type Engine struct {
 	started, stopped bool
 }
 
-// healthMon is the dispatcher-path liveness detector's state.
+// Sharded is Engine under the name NewSharded's callers use: both
+// constructors build the same type, differing only in their shards.
+type Sharded = Engine
+
+// healthMon is the stall detector's state.
 type healthMon struct {
 	window    time.Duration
 	lastProc  []uint64    // retired count at the last beat
 	lastBeat  []time.Time // last instant progress (or emptiness) was observed
-	calls     uint64
+	calls     uint64      // inline data-path touches, for the scan cadence
 	lastCheck time.Time
 }
 
-// New validates cfg and builds an engine (workers not yet running).
+// New builds an engine with one inline shard (workers not yet
+// running): the scheduler runs on the caller's goroutine, consulted per
+// packet by Dispatch and per flow run by DispatchBurst.
 func New(cfg Config) (*Engine, error) {
+	if cfg.Dispatchers > 0 {
+		return nil, fmt.Errorf("runtime: Config.Dispatchers=%d needs async shards; use NewSharded", cfg.Dispatchers)
+	}
+	return build(cfg, nil)
+}
+
+// NewSharded builds an engine with Config.Dispatchers async shards
+// (nothing running yet). cfg.Sched must implement
+// npsim.SnapshotProvider — async shards route against snapshots, so a
+// scheduler that cannot publish one has no way onto this path.
+func NewSharded(cfg Config) (*Engine, error) {
+	if cfg.Dispatchers < 1 {
+		return nil, fmt.Errorf("runtime: sharded engine needs Dispatchers >= 1, got %d", cfg.Dispatchers)
+	}
+	sp, ok := cfg.Sched.(npsim.SnapshotProvider)
+	if cfg.Sched != nil && !ok {
+		return nil, fmt.Errorf("runtime: scheduler %q cannot publish forwarding snapshots (no npsim.SnapshotProvider); Dispatchers>0 requires one", cfg.Sched.Name())
+	}
+	return build(cfg, sp)
+}
+
+// build validates cfg and constructs the engine: one inline shard when
+// sp is nil, cfg.Dispatchers async shards otherwise.
+func build(cfg Config, sp npsim.SnapshotProvider) (*Engine, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("runtime: need at least one worker, got %d", cfg.Workers)
 	}
 	if cfg.Sched == nil {
 		return nil, fmt.Errorf("runtime: Config.Sched is required")
-	}
-	if cfg.Dispatchers > 0 {
-		return nil, fmt.Errorf("runtime: Config.Dispatchers=%d needs the sharded engine; use NewSharded", cfg.Dispatchers)
 	}
 	if cfg.RingCap <= 0 {
 		cfg.RingCap = 256
@@ -317,6 +359,15 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.FlowStateCap <= 0 {
 		cfg.FlowStateCap = 1 << 20
 	}
+	if cfg.IngressCap <= 0 {
+		cfg.IngressCap = 4096
+	}
+	if cfg.SampleEvery <= 0 {
+		cfg.SampleEvery = 1
+	}
+	if cfg.FeedbackCap <= 0 {
+		cfg.FeedbackCap = 4096
+	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(cfg.Workers); err != nil {
 			return nil, err
@@ -326,51 +377,40 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Services == zero {
 		cfg.Services = npsim.DefaultServices()
 	}
-	budgetable := cfg.Memory == npsim.MemorySketch ||
-		(cfg.FlowBudget > 0 && cfg.Memory == npsim.MemoryAuto)
-	flowCap := cfg.FlowStateCap
-	if cfg.FlowBudget > 0 && cfg.FlowBudget < flowCap {
-		// The budget is the tighter bound: exact mode sweeps at it,
-		// auto/sketch degrade to coarse fencing when sweeping cannot
-		// hold the live-flow count under it.
-		flowCap = cfg.FlowBudget
-	}
-	hint := 1 << 14
-	if flowCap < hint {
-		hint = flowCap
+	n := cfg.Dispatchers
+	if sp == nil {
+		n = 1
 	}
 	e := &Engine{
-		cfg:        cfg,
-		flows:      flowtab.New[flowState](hint),
-		flowCap:    flowCap,
-		budgetable: budgetable,
-		tracker:    newSharedTracker(trackerConfig(cfg)),
-		rec:        cfg.Recorder,
-		perWDrop:   make([]atomic.Uint64, cfg.Workers),
-		dead:       make([]bool, cfg.Workers),
-		deadPub:    make([]atomic.Bool, cfg.Workers),
+		cfg:      cfg,
+		inline:   sp == nil,
+		sp:       sp,
+		tracker:  newSharedTracker(trackerConfig(cfg)),
+		rec:      cfg.Recorder,
+		perWDrop: make([]atomic.Uint64, cfg.Workers),
+		health:   make([]workerHealth, cfg.Workers),
 		// The clock epoch is stamped here, not at Start: recorders are
 		// wired to e.Now at construction, and an event emitted before
 		// Start must not be stamped against the zero time (whose
 		// nanosecond distance overflows int64 into garbage).
 		start: time.Now(),
 	}
-	if cfg.Memory == npsim.MemorySketch {
-		// Bounded from the start: new flows fence at bucket granularity
-		// immediately instead of waiting for the budget to be crossed.
-		e.coarse = newCoarseFence(1)
-	}
+	e.bs, _ = cfg.Sched.(npsim.BurstScheduler)
 	if e.rec != nil {
 		e.rec.SetClock(e.Now)
+		if !e.inline {
+			e.ingRec = obs.NewRecorder(obs.DefaultRingCap / (n + 1))
+			e.ingRec.SetClock(e.Now)
+		}
 	}
 	if cfg.Telemetry != nil {
-		e.tel = newEngineTel(cfg.Telemetry, cfg.Workers, 1)
+		e.tel = newEngineTel(cfg.Telemetry, cfg.Workers, n)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			id:         i,
-			rings:      []*Ring{NewRing(cfg.RingCap)},
-			retired:    make([]atomic.Uint64, 1),
+			rings:      make([]*Ring, n),
+			retired:    make([]atomic.Uint64, n),
 			tracker:    e.tracker,
 			now:        e.Now,
 			work:       cfg.Work,
@@ -379,6 +419,9 @@ func New(cfg Config) (*Engine, error) {
 			handler:    cfg.Handler,
 			pool:       cfg.Pool,
 			tel:        e.tel.forWorkers(),
+		}
+		for s := range w.rings {
+			w.rings[s] = NewRing(cfg.RingCap)
 		}
 		w.idleSince.Store(0)
 		if cfg.Faults != nil {
@@ -391,16 +434,27 @@ func New(cfg Config) (*Engine, error) {
 			w.rec.SetClock(e.Now)
 		}
 		e.workers = append(e.workers, w)
-		e.staged = append(e.staged, make([]*packet.Packet, 0, cfg.Batch))
-		e.live = append(e.live, i)
+		e.liveIdx = append(e.liveIdx, i)
 	}
-	e.enqSeq = make([]uint64, cfg.Workers)
-	e.burst = newBurstScratch()
-	e.occ = make([]int, cfg.Workers)
+	for s := 0; s < n; s++ {
+		e.shards = append(e.shards, newShard(e, s, n))
+	}
+	if !e.inline {
+		e.feedback = make([]*feedRing, n)
+		for s := range e.feedback {
+			e.feedback[s] = newFeedRing(cfg.FeedbackCap)
+		}
+	}
+	if n > 1 {
+		e.ingScratch = make([][]*packet.Packet, n)
+		for s := range e.ingScratch {
+			e.ingScratch[s] = make([]*packet.Packet, 0, burstChunk)
+		}
+	}
 	if cfg.Telemetry != nil {
-		// After the worker loop: the per-worker gauge closures capture
-		// the constructed workers.
-		registerEngineMetrics(cfg.Telemetry, e)
+		// After the worker and shard loops: the per-worker and per-shard
+		// gauge closures capture the constructed objects.
+		registerMetrics(cfg.Telemetry, e)
 	}
 	if cfg.DetectWindow > 0 {
 		e.mon = &healthMon{
@@ -409,50 +463,65 @@ func New(cfg Config) (*Engine, error) {
 			lastBeat: make([]time.Time, cfg.Workers),
 		}
 	}
+	if e.inline {
+		// An inline view changes only on quarantine: publish the
+		// all-alive one now, so Flush and the View work before Start.
+		e.publish()
+		e.shards[0].lastView = e.view.Load()
+	}
 	return e, nil
 }
 
-// Now is the runtime clock: nanoseconds since New, as a sim.Time so
-// schedulers written for the simulator read it unchanged.
+// Now is the runtime clock: nanoseconds since construction, as a
+// sim.Time so schedulers written for the simulator read it unchanged.
 func (e *Engine) Now() sim.Time {
 	return sim.Time(time.Since(e.start).Nanoseconds())
 }
 
-// --- npsim.View (consulted by the scheduler on the dispatcher goroutine) ---
+// --- npsim.View (consulted by the scheduler's goroutine) ---
 
 // NumCores returns the worker count.
 func (e *Engine) NumCores() int { return len(e.workers) }
 
 // QueueLen returns worker c's backlog as the scheduler should see it:
-// ring occupancy plus in-service packets plus staged-but-unflushed ones.
-// A quarantined worker reads as permanently full, which is how the
-// scheduler's view is "shrunk" to the surviving cores without
-// renumbering them.
+// ring occupancy across every shard's ring plus in-service packets,
+// plus the inline shard's staged-but-unflushed ones. Async shards'
+// stage buffers are private to their goroutines, so a sharded view can
+// under-read by at most Dispatchers×Batch packets — the same order of
+// error a hardware scheduler has against in-flight DMA. A quarantined
+// worker reads as permanently full, which is how the scheduler's view
+// is "shrunk" to the surviving cores without renumbering them.
 func (e *Engine) QueueLen(c int) int {
-	if e.dead[c] {
-		return e.workers[c].rings[0].Cap()
+	if e.health[c] != whAlive {
+		return e.QueueCap()
 	}
-	return e.workers[c].queueLen() + len(e.staged[c])
+	n := e.workers[c].queueLen()
+	if e.inline {
+		n += len(e.shards[0].staged[c])
+	}
+	return n
 }
 
-// QueueCap returns the per-worker ring capacity.
-func (e *Engine) QueueCap() int { return e.workers[0].rings[0].Cap() }
+// QueueCap returns a worker's total buffering: per-shard ring capacity
+// times the shard count.
+func (e *Engine) QueueCap() int {
+	return e.workers[0].rings[0].Cap() * len(e.shards)
+}
 
 // IdleFor returns how long worker c has been out of work. A quarantined
-// worker is never idle (it must not attract work or donate itself).
+// worker is never idle (it must not attract work or donate itself), nor
+// is one the inline shard holds staged packets for.
 func (e *Engine) IdleFor(c int) sim.Time {
-	if e.dead[c] {
-		return 0
-	}
-	if len(e.staged[c]) > 0 {
+	if e.health[c] != whAlive || (e.inline && len(e.shards[0].staged[c]) > 0) {
 		return 0
 	}
 	return e.workers[c].idleFor(e.Now())
 }
 
-// Start launches the workers (and the metrics sampler, if configured).
-// ctx cancellation makes blocking enqueues give up; the run itself is
-// ended by Stop.
+// Start launches the workers — plus, when sharded, the first
+// forwarding view, the shards and the control plane — and the metrics
+// sampler when configured. ctx cancellation makes blocking enqueues
+// give up; the run itself is ended by Stop.
 func (e *Engine) Start(ctx context.Context) {
 	if e.started {
 		panic("runtime: Engine started twice")
@@ -469,6 +538,9 @@ func (e *Engine) Start(ctx context.Context) {
 		}
 		e.mon.lastCheck = e.runStart
 	}
+	if !e.inline {
+		e.publish() // async shards must never observe a nil view
+	}
 	for _, w := range e.workers {
 		w := w
 		e.wg.Add(1)
@@ -477,574 +549,326 @@ func (e *Engine) Start(ctx context.Context) {
 			w.run(e.cfg.Batch)
 		}()
 	}
+	if !e.inline {
+		for _, sh := range e.shards {
+			sh := sh
+			e.swg.Add(1)
+			go func() {
+				defer e.swg.Done()
+				sh.run()
+			}()
+		}
+		e.cpStop = make(chan struct{})
+		e.cpDone = make(chan struct{})
+		go e.controlPlane()
+	}
 	if e.cfg.MetricsInterval > 0 {
 		e.startSampler()
 	}
 }
 
-// Dispatch offers one packet: the scheduler picks a worker, fencing
-// adjusts for in-flight ordering, and the packet is enqueued. It
-// reports whether the packet was accepted (false = dropped). Must be
-// called from a single goroutine.
+// Dispatch offers one packet. Inline, the scheduler picks a worker and
+// the packet is resolved and staged on the caller's goroutine; sharded,
+// the flow's CRC16 picks the shard, preserving per-flow arrival order,
+// and the packet is enqueued on that shard's ingress ring. It reports
+// whether the packet was accepted (false = dropped under DropWhenFull
+// or after context cancellation). Must be called from a single
+// goroutine.
 func (e *Engine) Dispatch(p *packet.Packet) bool {
-	t := e.cfg.Sched.Target(p, e)
-	if t < 0 || t >= len(e.workers) {
-		panic(fmt.Sprintf("runtime: scheduler %q returned invalid worker %d", e.cfg.Sched.Name(), t))
+	if e.inline {
+		return e.DispatchTo(p, e.checkTarget(e.cfg.Sched.Target(p, e)))
 	}
-	return e.DispatchTo(p, t)
-}
-
-// DispatchTo routes a packet whose target was already decided (the
-// conformance harness mirrors simulator decisions through this). Same
-// contract as Dispatch.
-//
-// Route resolution runs in a loop because recovery can change the world
-// mid-dispatch: a worker found dead is reaped (quarantined + drained)
-// synchronously and the route re-resolved against the recovered flow
-// table, so every decision is made on post-recovery state.
-func (e *Engine) DispatchTo(p *packet.Packet, target int) bool {
 	e.dispatched.Add(1)
-	e.maybeCheckHealth()
 	if e.tel.on {
 		// Enqueued is sim-side bookkeeping the live path never reads;
-		// reuse it as the dispatch timestamp the worker's latency and
+		// reuse it as the ingest timestamp the worker's latency and
 		// ring-wait histograms measure against.
 		p.Enqueued = e.Now()
 	}
-	return e.dispatchResolved(p, target)
+	one := [1]*packet.Packet{p}
+	return e.ingest(e.shards[int(crc.PacketHash(p))%len(e.shards)], one[:]) == 1
 }
 
-// dispatchResolved is DispatchTo after the per-call bookkeeping
-// (dispatch count, health cadence, telemetry stamp) — the burst path
-// does those once per burst and re-enters here per packet when a flow
-// run cannot take the batched fast path.
-func (e *Engine) dispatchResolved(p *packet.Packet, target int) bool {
-	h := crc.PacketHash(p)
+// Ingest is Dispatch, under the name sharded callers use.
+func (e *Engine) Ingest(p *packet.Packet) bool { return e.Dispatch(p) }
+
+// DispatchTo routes a packet whose target was already decided (the
+// conformance harness mirrors simulator decisions through this). Same
+// contract as Dispatch; inline engines only, since async shards take
+// their targets from the published view.
+func (e *Engine) DispatchTo(p *packet.Packet, target int) bool {
+	if !e.inline {
+		panic("runtime: DispatchTo needs an inline engine (New)")
+	}
+	e.dispatched.Add(1)
+	if e.tel.on {
+		p.Enqueued = e.Now()
+	}
+	return e.shards[0].dispatchResolved(p, target)
+}
+
+// checkTarget panics on a worker index outside the engine. The panic
+// lives in badTarget so this check inlines into the burst path.
+func (e *Engine) checkTarget(t int) int {
+	if uint(t) >= uint(len(e.workers)) {
+		e.badTarget(t)
+	}
+	return t
+}
+
+func (e *Engine) badTarget(t int) {
+	panic(fmt.Sprintf("runtime: scheduler %q routed to invalid worker %d", e.cfg.Sched.Name(), t))
+}
+
+// Flush publishes every packet the inline shard has staged. Call when
+// the arrival stream pauses (pacing gaps) so low-rate workers are not
+// starved. A no-op when sharded: async shards flush their own stages
+// whenever their ingress rings run dry.
+func (e *Engine) Flush() {
+	if e.inline {
+		e.shards[0].flushAll()
+	}
+}
+
+// --- control plane: the control-plane goroutine when sharded, the
+// caller's goroutine when inline ---
+
+// controlPlane owns a sharded engine's scheduler: it drains the
+// shards' observation rings through the real scheduler (for its control
+// side effects), scans worker health, and republishes the forwarding
+// view whenever the scheduler's generation moves.
+func (e *Engine) controlPlane() {
+	defer close(e.cpDone)
+	// One reusable record buffer for the whole loop; a flow run arrives
+	// as one record and burst-capable schedulers consume it in one call.
+	obsBuf := make([]obsRec, e.cfg.Batch)
 	for {
-		t := target
-		if e.dead[t] {
-			t = e.reroute(h, 0)
-			if t < 0 {
-				e.countDrop(p, target)
-				return false
-			}
-		} else if e.workers[t].state.Load() == wsDead {
-			// The scheduler picked a worker that died since the last
-			// health check: reap it first, then re-resolve.
-			e.reapDead(t)
-			continue
+		select {
+		case <-e.cpStop:
+			return
+		default:
 		}
-		kind := routePlain
-		st, seen, coarse := e.fenceLookup(p.Flow, h)
-		fencedAt, fenceSeq := int64(0), uint64(0)
-		old, want := -1, t
-		if seen {
-			fencedAt = st.fencedAt
-			fenceSeq = st.seq
-		}
-		if seen && int(st.core) != t {
-			old = int(st.core)
-			switch {
-			case e.cfg.DisableFencing || e.workers[old].processed.Load() >= st.seq:
-				// The old worker retired every packet of this flow (or we
-				// were asked not to care): the switch is ordering-safe.
-				kind = routeMigrated
-			case !e.dead[old] && e.workers[old].state.Load() == wsDead:
-				// The flow is fenced to a worker that died undetected.
-				// Reap it — recovery re-injects the fenced backlog in
-				// order and remaps the flow — then re-resolve.
-				e.reapDead(old)
-				continue
-			case e.dead[old]:
-				// Quarantined but undrainable (seize failed): the flow's
-				// unretired packets are stuck forever. Holding the fence
-				// would wedge the flow too; release it, counted, and
-				// accept the bounded reordering risk.
-				kind = routeForced
-			default:
-				// Fence: the flow stays on its old worker until the drain
-				// completes, so its in-flight packets cannot be overtaken.
-				kind = routeFenced
-				t = old
-			}
-		}
-		// Copy the key (and the event fields) before push: once the
-		// packet is published to the ring the worker may retire it and
-		// hand it back to the pool, so p must not be read again.
-		f := p.Flow
-		svc := p.Service
-		ok, retry := e.push(p, t)
-		if retry {
-			continue
-		}
-		if !ok {
-			return false
-		}
-		switch kind {
-		case routeMigrated:
-			e.migrations.Add(1)
-			fencedAt = e.endFence(f, svc, t, old, fencedAt)
-		case routeForced:
-			e.forced.Add(1)
-			e.migrations.Add(1)
-			fencedAt = e.endFence(f, svc, t, old, fencedAt)
-		case routeFenced:
-			e.fenced.Add(1)
-			if fencedAt == 0 {
-				// First packet held by this fence: open the span. The
-				// anchor rides in the flow table so the hold is measured
-				// to the eventual release, however many dispatches later.
-				fencedAt = int64(e.Now())
-				if e.rec != nil {
-					e.rec.Emit(obs.Event{Kind: obs.EvFenceStart, Service: int16(svc),
-						Core: int32(old), Core2: int32(want), Flow: f, Val: int64(fenceSeq)})
+		progress := false
+		for i := range e.feedback {
+			n := e.feedback[i].popBatch(obsBuf)
+			for k := 0; k < n; k++ {
+				// The returned target is deliberately discarded: the
+				// data plane routes only against published snapshots,
+				// so decisions take effect atomically and in bulk.
+				rec := &obsBuf[k]
+				if e.bs != nil {
+					e.bs.TargetN(&rec.pkt, int(rec.n), e)
+				} else {
+					for j := uint32(0); j < rec.n; j++ {
+						e.sp.Target(&rec.pkt, e)
+					}
 				}
 			}
-		}
-		if coarse {
-			e.coarse.put(h, int32(t), e.enqSeq[t], fencedAt)
-		} else {
-			e.rememberFlowSeen(f, h, t, fencedAt, seen)
-		}
-		return true
-	}
-}
-
-// fenceLookup resolves the fence state for a flow: the exact table is
-// authoritative while the flow has an entry there; past the budget,
-// flows without one are fenced at hash-bucket granularity. The third
-// result reports which side the state (and the eventual update) lives
-// on.
-func (e *Engine) fenceLookup(f packet.FlowKey, h uint16) (flowState, bool, bool) {
-	st, seen := e.flows.Get(f, h)
-	if seen || e.coarse == nil {
-		return st, seen, false
-	}
-	if b := e.coarse.ref(h); b.core >= 0 {
-		return *b, true, true
-	}
-	return flowState{}, false, true
-}
-
-// endFence closes a fence span opened at fencedAt (0 = nothing open):
-// it records the hold duration, tracks the maximum for Result, and
-// emits the closing span event. Returns the new anchor (always 0).
-// Dispatcher goroutine only.
-func (e *Engine) endFence(f packet.FlowKey, svc packet.ServiceID, target, old int, fencedAt int64) int64 {
-	if fencedAt == 0 {
-		return 0
-	}
-	hold := int64(e.Now()) - fencedAt
-	if hold < 0 {
-		hold = 0
-	}
-	e.tel.fenceHold.Record(0, hold)
-	if hold > e.maxFenceHold.Load() {
-		e.maxFenceHold.Store(hold)
-	}
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvFenceEnd, Service: int16(svc),
-			Core: int32(target), Core2: int32(old), Flow: f, Val: hold})
-	}
-	return 0
-}
-
-// rememberFlow updates the flow's routing record, sweeping drained
-// entries when the table outgrows its cap. A sweep that frees (almost)
-// nothing — everything still in flight — is not retried for the next
-// flowCap/16 inserts, keeping the at-cap insert path amortised O(1)
-// instead of O(cap) per packet (the table overshoots the cap by at most
-// that hold-off per window; see Config.FlowStateCap).
-func (e *Engine) rememberFlow(f packet.FlowKey, h uint16, target int, fencedAt int64) {
-	e.rememberFlowSeen(f, h, target, fencedAt, e.flows.Has(f, h))
-}
-
-// rememberFlowSeen is rememberFlow for callers that already probed the
-// table (the burst path, which holds the result of its single per-run
-// Get and skips the redundant Has).
-func (e *Engine) rememberFlowSeen(f packet.FlowKey, h uint16, target int, fencedAt int64, seen bool) {
-	if !seen && e.flows.Len() >= e.flowCap {
-		if e.sweepHold > 0 {
-			e.sweepHold--
-		} else {
-			swept := e.flows.Sweep(func(_ packet.FlowKey, _ uint16, st flowState) bool {
-				return e.workers[st.core].processed.Load() >= st.seq
-			})
-			if swept < e.flowCap/64+1 {
-				e.sweepHold = e.flowCap / 16
+			if n > 0 {
+				progress = true
 			}
 		}
-		if e.budgetable && e.coarse == nil && e.flows.Len() >= e.flowCap {
-			// Sweeping cannot hold the live-flow count under the budget:
-			// degrade. New flows fence at hash-bucket granularity from
-			// here on; existing exact entries stay authoritative until
-			// they drain (rememberFlowSeen is never called for a flow
-			// without one again — fenceLookup routes those to buckets).
-			e.coarse = newCoarseFence(1)
-			e.budgetHits.Add(1)
-			e.coarse.put(h, int32(target), e.enqSeq[target], fencedAt)
-			return
+		e.scanHealth()
+		if g := e.sp.Generation(); g != e.pubGen {
+			e.publish()
+			progress = true
+		}
+		if !progress {
+			time.Sleep(20 * time.Microsecond)
 		}
 	}
-	e.flows.Put(f, h, flowState{core: int32(target), seq: e.enqSeq[target], fencedAt: fencedAt})
 }
 
-// countDrop records one dropped packet bound for worker w.
-func (e *Engine) countDrop(p *packet.Packet, w int) {
-	e.dropped.Add(1)
-	e.perWDrop[w].Add(1)
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvDrop, Service: int16(p.Service),
-			Core: int32(w), Core2: -1, Flow: p.Flow,
-			Val: int64(e.workers[w].rings[0].Len() + len(e.staged[w]))})
+// publish swaps in a fresh view carrying the current worker-health
+// picture; when sharded it also snapshots the scheduler's forwarding
+// state for the shards to resolve against.
+func (e *Engine) publish() {
+	v := &dataPlaneView{
+		health: append([]workerHealth(nil), e.health...),
+		live:   append([]int(nil), e.liveIdx...),
 	}
-	e.cfg.Pool.Put(p)
-}
-
-// push stages p for worker w, flushing when the stage buffer fills.
-// Fullness is decided against a conservative occupancy estimate
-// (ring + staged), so flushes never fail: the worker only drains the
-// ring between dispatcher steps.
-//
-// Returns (accepted, retry). retry means the target worker died before
-// or while the dispatcher was waiting on its ring — the caller must
-// re-resolve the route; nothing was enqueued or counted.
-func (e *Engine) push(p *packet.Packet, w int) (bool, bool) {
-	wk := e.workers[w]
-	if e.dead[w] || wk.state.Load() == wsDead {
-		return false, true
-	}
-	for wk.rings[0].Len()+len(e.staged[w]) >= wk.rings[0].Cap() {
-		if e.cfg.Policy == DropWhenFull || e.ctx.Err() != nil {
-			e.countDrop(p, w)
-			return false, false
+	if !e.inline {
+		v.fwd = e.sp.Snapshot(e.Now())
+		e.pubGen = e.sp.Generation()
+		e.snapshots.Add(1)
+		if e.rec != nil {
+			e.rec.Emit(obs.Event{Kind: obs.EvSnapshotPublish, Service: -1, Core: -1,
+				Core2: -1, Val: int64(e.pubGen)})
 		}
-		// Backpressure: publish what we have and wait for the drain.
-		// The health monitor keeps running here — if w itself is the
-		// worker that died, recovery marks it and we bail out to retry
-		// instead of waiting forever.
-		e.flushWorker(w)
-		e.maybeCheckHealth()
-		if e.dead[w] || wk.state.Load() == wsDead {
-			return false, true
-		}
-		time.Sleep(5 * time.Microsecond)
 	}
-	e.staged[w] = append(e.staged[w], p)
-	e.enqSeq[w]++
-	if len(e.staged[w]) >= e.cfg.Batch {
-		e.flushWorker(w)
-	}
-	return true, false
+	v.pubAt = e.Now()
+	e.view.Store(v)
 }
 
-// flushWorker publishes worker w's staged packets into its ring. By
-// construction (see push) the ring always has room.
-func (e *Engine) flushWorker(w int) {
-	s := e.staged[w]
-	if len(s) == 0 {
-		return
-	}
-	n := e.workers[w].rings[0].PushBatch(s)
-	if n != len(s) {
-		panic(fmt.Sprintf("runtime: ring %d rejected %d staged packets", w, len(s)-n))
-	}
-	e.staged[w] = s[:0]
-}
-
-// Flush publishes every staged packet. Call when the arrival stream
-// pauses (pacing gaps) so low-rate workers are not starved. Quarantined
-// workers are skipped — their stage buffers were drained by recovery.
-func (e *Engine) Flush() {
-	for w := range e.staged {
-		if e.dead[w] {
-			continue
-		}
-		e.flushWorker(w)
-	}
-}
-
-// --- health monitoring and recovery (dispatcher goroutine only) ---
-
-// maybeCheckHealth runs the liveness check at a bounded cadence: every
-// 64 dispatcher touches, and no more than ~8 times per detection
-// window. Re-entry during a recovery is suppressed.
-func (e *Engine) maybeCheckHealth() {
-	if e.mon == nil || e.inRecovery {
+// maybeScan runs the health scan on an inline engine's caller
+// goroutine at a bounded cadence: every 64 data-path touches, and no
+// more than ~8 times per detection window.
+func (e *Engine) maybeScan() {
+	if e.mon == nil {
 		return
 	}
 	e.mon.calls++
-	if e.mon.calls&63 != 0 {
+	if e.mon.calls&63 != 0 || time.Since(e.mon.lastCheck) < e.mon.window/8 {
 		return
 	}
-	now := time.Now()
-	if now.Sub(e.mon.lastCheck) < e.mon.window/8 {
-		return
-	}
-	e.checkHealth(now)
+	e.scanHealth()
 }
 
-// checkHealth scans the workers for definitive deaths (exited
-// goroutines) and stalls (backlog held with no retirements for a full
-// window). The last surviving worker is never quarantined on the stall
-// heuristic — a wrong guess there would leave no data path at all.
-func (e *Engine) checkHealth(now time.Time) {
-	e.mon.lastCheck = now
-	for i, w := range e.workers {
-		if e.dead[i] {
-			continue
-		}
-		if w.state.Load() == wsDead {
-			e.reapDead(i)
-			continue
-		}
-		if len(e.live) <= 1 {
-			return
-		}
-		p := w.processed.Load()
-		// Only backlog the worker can actually drain counts: ring +
-		// in-service. Staged packets are held by the dispatcher — during
-		// a long push-wait on some other worker's ring they would make
-		// an idle, healthy worker look stalled.
-		if p != e.mon.lastProc[i] || w.queueLen() == 0 {
-			e.mon.lastProc[i] = p
-			e.mon.lastBeat[i] = now
-			continue
-		}
-		if stalled := now.Sub(e.mon.lastBeat[i]); stalled >= e.mon.window {
-			e.stalls.Add(1)
-			if e.rec != nil {
-				e.rec.Emit(obs.Event{Kind: obs.EvWorkerStall, Service: -1,
-					Core: int32(i), Core2: -1, Val: stalled.Nanoseconds()})
+// scanHealth quarantines workers whose goroutines have exited, then
+// runs the stall heuristic (when DetectWindow is set) at most ~8 times
+// per window: a worker holding drainable backlog with no retirements
+// for a full window is quarantined. The last live worker is never
+// quarantined on the stall heuristic — a wrong guess there would leave
+// no data path at all.
+func (e *Engine) scanHealth() {
+	e.reapDead()
+	now := time.Now()
+	if e.mon != nil && now.Sub(e.mon.lastCheck) >= e.mon.window/8 {
+		e.mon.lastCheck = now
+		for i, w := range e.workers {
+			if e.health[i] != whAlive || len(e.liveIdx) <= 1 {
+				continue
 			}
+			p := w.processed.Load()
+			// Only backlog the worker can actually drain counts: rings +
+			// in-service. Staged packets are held by a shard — during a
+			// long push-wait on some other worker's ring they would make
+			// an idle, healthy worker look stalled.
+			if p != e.mon.lastProc[i] || w.queueLen() == 0 {
+				e.mon.lastProc[i] = p
+				e.mon.lastBeat[i] = now
+				continue
+			}
+			if stalled := now.Sub(e.mon.lastBeat[i]); stalled >= e.mon.window {
+				e.stalls.Add(1)
+				if e.rec != nil {
+					e.rec.Emit(obs.Event{Kind: obs.EvWorkerStall, Service: -1,
+						Core: int32(i), Core2: -1, Val: stalled.Nanoseconds()})
+				}
+				e.quarantine(i)
+			}
+		}
+	}
+	e.scanEpoch.Add(1)
+}
+
+// reapDead quarantines every live worker whose goroutine has exited
+// (kill fault).
+func (e *Engine) reapDead() {
+	for i, w := range e.workers {
+		if e.health[i] == whAlive && w.state.Load() == wsDead {
 			e.quarantine(i)
 		}
 	}
 }
 
-// reapDead quarantines a worker whose goroutine has definitively exited
-// (kill fault). Idempotent.
-func (e *Engine) reapDead(i int) {
-	if !e.dead[i] {
-		e.quarantine(i)
-	}
-}
-
-// quarantine removes worker i from the live set, records the death and
-// runs recovery. Dispatcher goroutine only.
+// quarantine removes worker i from the live set, seizes its rings when
+// possible, and publishes the verdict — each shard drains its own ring
+// of the worker when it observes the new view (shard.onViewChange).
 func (e *Engine) quarantine(i int) {
-	e.dead[i] = true
-	e.deadPub[i].Store(true)
-	e.rebuildLive()
-	e.deaths.Add(1)
 	w := e.workers[i]
+	if w.seize() {
+		e.health[i] = whSeized
+	} else {
+		e.health[i] = whWedged
+	}
+	e.deaths.Add(1)
 	if fa := w.faultAt.Swap(0); fa > 0 {
 		if d := int64(e.Now()) - fa; d > e.maxDetect.Load() {
 			e.maxDetect.Store(d)
 		}
 	}
+	live := e.liveIdx[:0]
+	for j := range e.workers {
+		if e.health[j] == whAlive {
+			live = append(live, j)
+		}
+	}
+	e.liveIdx = live
 	if e.rec != nil {
 		e.rec.Emit(obs.Event{Kind: obs.EvWorkerDead, Service: -1, Core: int32(i),
-			Core2: -1, Val: int64(w.queueLen() + len(e.staged[i]))})
+			Core2: -1, Val: int64(w.queueLen())})
 	}
-	e.recoverWorker(i)
+	e.publish()
 }
 
-// rebuildLive recomputes the surviving-worker index list.
-func (e *Engine) rebuildLive() {
-	e.live = e.live[:0]
-	for i := range e.workers {
-		if !e.dead[i] {
-			e.live = append(e.live, i)
-		}
-	}
-}
-
-// recoverWorker is the ordering-safe recovery path for a quarantined
-// worker: seize the ring's consumer role, re-inject the stranded
-// backlog (ring, oldest first, then the stage buffer) onto live workers
-// in arrival order, and purge the dead worker's flow-routing entries.
-//
-// Ordering argument: a flow resident on the dead worker has ALL of its
-// unretired packets inside the stranded backlog (the fence guarantees a
-// flow's in-flight packets live on exactly one worker), and they are
-// drained in enqueue order. Re-injecting them in that order onto one
-// live worker — and re-pointing the fence at it — therefore preserves
-// per-flow order by construction; packets retired before the fault had
-// already departed in order.
-//
-// If the worker cannot be seized (wedged mid-batch, holding popped
-// packets), its backlog is unrecoverable: the worker stays quarantined,
-// nothing is drained, and fences against it are force-released on the
-// flows' next packets (counted in Result.Forced).
-func (e *Engine) recoverWorker(i int) {
-	e.inRecovery = true
-	defer func() { e.inRecovery = false }()
-	w := e.workers[i]
-	// Recovery is a span: it runs dozens of ring pops and re-pushes, so
-	// its duration — not just its occurrence — is what capacity planning
-	// needs. Start/End bracket the instant EvRecovery kept for
-	// compatibility with existing trace consumers.
-	t0 := e.Now()
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvRecoveryStart, Service: -1, Core: int32(i),
-			Core2: -1, Val: int64(w.queueLen() + len(e.staged[i]))})
-	}
-	var reinjected uint64
-	touched := make(map[packet.FlowKey]struct{})
-	if w.seize() {
-		buf := make([]*packet.Packet, e.cfg.Batch)
-		for {
-			n := w.rings[0].PopBatch(buf)
-			if n == 0 {
-				break
-			}
-			for j := 0; j < n; j++ {
-				if e.reinject(buf[j], touched) {
-					reinjected++
-				}
-				buf[j] = nil
-			}
-		}
-		for _, p := range e.staged[i] {
-			if e.reinject(p, touched) {
-				reinjected++
-			}
-		}
-		e.staged[i] = e.staged[i][:0]
-		// Every still-in-flight entry was just re-pointed by reinject;
-		// what remains on this worker is fully retired and safe to
-		// forget (the next packet starts the flow fresh).
-		retired := w.processed.Load()
-		e.flows.Sweep(func(_ packet.FlowKey, _ uint16, st flowState) bool {
-			return int(st.core) == i && retired >= st.seq
-		})
-		if e.coarse != nil {
-			e.coarse.sweepDead(int32(i), retired)
-		}
-	}
-	e.reinjected.Add(reinjected)
-	e.recovered.Add(uint64(len(touched)))
-	dur := int64(e.Now() - t0)
-	e.tel.recovery.Record(0, dur)
-	if e.rec != nil {
-		e.rec.Emit(obs.Event{Kind: obs.EvRecovery, Service: -1, Core: int32(i),
-			Core2: -1, Val: int64(reinjected)})
-		e.rec.Emit(obs.Event{Kind: obs.EvRecoveryEnd, Service: -1, Core: int32(i),
-			Core2: -1, Val: dur})
-	}
-}
-
-// reinject pushes one stranded packet onto a live worker, bypassing the
-// fence (see recoverWorker for why that is ordering-safe), and
-// re-points the flow's routing record so subsequent packets fence
-// against the new home. Reports whether the packet was accepted.
-func (e *Engine) reinject(p *packet.Packet, touched map[packet.FlowKey]struct{}) bool {
-	h := crc.PacketHash(p)
-	f := p.Flow // push publishes p; no reads after it
-	for attempt := 0; ; attempt++ {
-		t := e.reroute(h, attempt)
-		if t < 0 {
-			e.dropped.Add(1)
-			e.cfg.Pool.Put(p)
-			return false
-		}
-		ok, retry := e.push(p, t)
-		if retry {
-			continue
-		}
-		if !ok {
-			return false
-		}
-		if e.coarse != nil && !e.flows.Has(f, h) {
-			// Coarse-fenced flow: re-point its bucket. Rerouting is by
-			// hash and a bucket is one hash value, so every member lands
-			// on the same worker and the bucket fence stays sound.
-			e.coarse.put(h, int32(t), e.enqSeq[t], 0)
-		} else {
-			e.flows.Put(f, h, flowState{core: int32(t), seq: e.enqSeq[t]})
-		}
-		touched[f] = struct{}{}
-		return true
-	}
-}
-
-// reroute deterministically picks a surviving worker for a flow by its
-// cached hash, skipping workers whose goroutines have died but are not
-// yet quarantined. Returns -1 when no live worker is reachable.
-func (e *Engine) reroute(h uint16, attempt int) int {
-	n := len(e.live)
-	if n == 0 {
-		return -1
-	}
-	hi := int(h) + attempt
-	for i := 0; i < n; i++ {
-		c := e.live[(hi+i)%n]
-		if e.workers[c].state.Load() != wsDead {
-			return c
-		}
-	}
-	return -1
-}
-
-// Stop flushes, closes the rings, waits for the workers to drain, stops
-// the sampler and returns the collected Result. The engine cannot be
-// restarted.
+// Stop drains the shards — inline on the caller's goroutine, async by
+// closing their ingress rings and waiting for them to exit — stops the
+// control plane, closes the worker rings, waits for the workers to
+// drain, and collects the Result. The engine cannot be restarted. The
+// caller must have stopped feeding it.
 func (e *Engine) Stop() *Result {
 	if !e.started || e.stopped {
 		panic("runtime: Stop on a non-running engine")
 	}
 	e.stopped = true
-	// Reap workers that died after the last health check (or with
-	// monitoring off) while re-injection is still possible — the
-	// surviving workers are running until the rings close below.
-	for i, w := range e.workers {
-		if !e.dead[i] && w.state.Load() == wsDead {
-			e.reapDead(i)
+	if e.inline {
+		e.shards[0].shutdown()
+	} else {
+		for _, sh := range e.shards {
+			sh.in.Close()
 		}
+		e.swg.Wait()
+		close(e.cpStop)
+		<-e.cpDone
 	}
-	e.Flush()
 	for _, w := range e.workers {
-		w.rings[0].Close()
+		for _, r := range w.rings {
+			r.Close()
+		}
 	}
 	e.wg.Wait()
 	elapsed := time.Since(e.runStart)
+
 	// Anything left in a ring or stage buffer now is stranded: its
 	// worker died too late (or was undrainable) and every survivor has
 	// exited. Count it as dropped so conservation holds.
+	var stranded uint64
 	for i, w := range e.workers {
-		s := uint64(w.rings[0].Len()) + uint64(len(e.staged[i]))
+		var s uint64
+		for _, r := range w.rings {
+			s += uint64(r.Len())
+		}
+		for _, sh := range e.shards {
+			s += uint64(len(sh.staged[i]))
+		}
 		if s > 0 {
-			e.stranded += s
-			e.dropped.Add(s)
+			stranded += s
 			e.perWDrop[i].Add(s)
 		}
 	}
+	e.dropped.Add(stranded)
 	if e.samplerStop != nil {
 		close(e.samplerStop)
 		<-e.samplerDone
 	}
-	e.mergeWorkerEvents()
+	e.mergeEvents()
 
 	res := &Result{
-		Dispatched:     e.dispatched.Load(),
-		Dropped:        e.dropped.Load(),
-		Migrations:     e.migrations.Load(),
-		Fenced:         e.fenced.Load(),
-		OutOfOrder:     e.tracker.outOfOrder(),
-		TrackedFlows:   e.tracker.flows(),
-		EvictedFlows:   e.tracker.evicted(),
-		EstimatedOOO:   e.tracker.estimatedOOO(),
-		FlowBudgetHits: e.tracker.budgetHits() + e.budgetHits.Load(),
-		Elapsed:        elapsed,
-		WorkerStalls:   e.stalls.Load(),
-		WorkerDeaths:   e.deaths.Load(),
-		Reinjected:     e.reinjected.Load(),
-		Recovered:      e.recovered.Load(),
-		Forced:         e.forced.Load(),
-		Stranded:       e.stranded,
-		MaxDetect:      time.Duration(e.maxDetect.Load()),
-		MaxFenceHold:   time.Duration(e.maxFenceHold.Load()),
+		Dispatched:           e.dispatched.Load(),
+		Dropped:              e.dropped.Load(),
+		OutOfOrder:           e.tracker.outOfOrder(),
+		Migrations:           e.total(cMigrations),
+		Fenced:               e.total(cFenced),
+		TrackedFlows:         e.tracker.flows(),
+		EvictedFlows:         e.tracker.evicted(),
+		EstimatedOOO:         e.tracker.estimatedOOO(),
+		FlowBudgetHits:       e.tracker.budgetHits() + e.total(cBudgetHits),
+		Elapsed:              elapsed,
+		WorkerStalls:         e.stalls.Load(),
+		WorkerDeaths:         e.deaths.Load(),
+		Reinjected:           e.total(cReinjected),
+		Recovered:            e.total(cRecovered),
+		Forced:               e.total(cForced),
+		Stranded:             stranded,
+		MaxDetect:            time.Duration(e.maxDetect.Load()),
+		MaxFenceHold:         time.Duration(e.maxFenceHold.Load()),
+		MaxSnapshotStaleness: time.Duration(e.maxStaleness.Load()),
+		Snapshots:            e.snapshots.Load(),
+		FeedbackDropped:      e.total(cFeedbackDropped),
+	}
+	if !e.inline {
+		res.Dispatchers = len(e.shards)
 	}
 	for i, w := range e.workers {
 		res.Processed += w.processed.Load()
@@ -1054,7 +878,7 @@ func (e *Engine) Stop() *Result {
 			Dropped:    e.perWDrop[i].Load(),
 			OutOfOrder: w.ooo.Load(),
 			Batches:    w.batches.Load(),
-			Dead:       e.dead[i],
+			Dead:       e.health[i] != whAlive,
 		})
 	}
 	if e.sampler != nil {
@@ -1063,11 +887,22 @@ func (e *Engine) Stop() *Result {
 	return res
 }
 
-// mergeWorkerEvents folds the per-worker recorders' events into the
-// main recorder, re-sorting the combined stream by timestamp (the
-// dispatcher keeps emitting — fence spans, drops — while workers
-// record, so interleaving is the norm, not the exception).
-func (e *Engine) mergeWorkerEvents() {
+// total sums one per-shard counter across the shards. Safe from any
+// goroutine.
+func (e *Engine) total(c shardCounter) uint64 {
+	var n uint64
+	for _, sh := range e.shards {
+		n += sh.ctr[c].Load()
+	}
+	return n
+}
+
+// mergeEvents folds the worker, shard and ingress recorders' events
+// into the main recorder, re-sorting the combined stream by timestamp
+// (shards and the control plane keep emitting — fence spans, drops —
+// while workers record, so interleaving is the norm, not the
+// exception). The inline shard already writes the main recorder.
+func (e *Engine) mergeEvents() {
 	if e.rec == nil {
 		return
 	}
@@ -1075,13 +910,19 @@ func (e *Engine) mergeWorkerEvents() {
 	for _, w := range e.workers {
 		all = append(all, w.rec.Events()...)
 	}
+	for _, sh := range e.shards {
+		if sh.rec != e.rec {
+			all = append(all, sh.rec.Events()...)
+		}
+	}
+	all = append(all, e.ingRec.Events()...)
 	e.rec.Merge(all)
 }
 
 // startSampler launches the wall-clock metrics goroutine. Probes read
-// only atomics, so sampling never races the dispatcher or workers.
+// only atomics, so sampling never races the data plane.
 func (e *Engine) startSampler() {
-	probes := make([]obs.Probe, 0, 2*len(e.workers)+4)
+	probes := make([]obs.Probe, 0, 2*len(e.workers)+len(e.shards)+4)
 	for _, w := range e.workers {
 		w := w
 		probes = append(probes,
@@ -1091,17 +932,21 @@ func (e *Engine) startSampler() {
 			obs.RateProbe(fmt.Sprintf("worker%d.pps", w.id), w.processed.Load, nil),
 		)
 	}
+	for _, sh := range e.shards {
+		if sh.in == nil {
+			continue
+		}
+		sh := sh
+		probes = append(probes,
+			obs.Probe{Name: fmt.Sprintf("shard%d.in", sh.id), Fn: func() float64 {
+				return float64(sh.in.Len())
+			}})
+	}
 	probes = append(probes,
 		obs.RateProbe("dispatched", e.dispatched.Load, nil),
 		obs.RateProbe("drops", e.dropped.Load, nil),
-		obs.RateProbe("ooo", func() uint64 {
-			var n uint64
-			for _, w := range e.workers {
-				n += w.ooo.Load()
-			}
-			return n
-		}, nil),
-		obs.RateProbe("fenced", e.fenced.Load, nil),
+		obs.RateProbe("ooo", e.ooo, nil),
+		obs.RateProbe("fenced", func() uint64 { return e.total(cFenced) }, nil),
 	)
 	e.sampler = obs.NewSampler(sim.Time(e.cfg.MetricsInterval.Nanoseconds()), probes...)
 	e.samplerStop = make(chan struct{})
@@ -1119,4 +964,22 @@ func (e *Engine) startSampler() {
 			}
 		}
 	}()
+}
+
+// ooo sums the workers' out-of-order departures.
+func (e *Engine) ooo() uint64 {
+	var n uint64
+	for _, w := range e.workers {
+		n += w.ooo.Load()
+	}
+	return n
+}
+
+// processed sums the workers' retirements.
+func (e *Engine) processed() uint64 {
+	var n uint64
+	for _, w := range e.workers {
+		n += w.processed.Load()
+	}
+	return n
 }

@@ -187,14 +187,15 @@ func (fl *flowLog) handler(_ int, p *packet.Packet) {
 }
 
 // TestShardedConformanceAcrossShardCounts is the cross-shard
-// conformance gate: the same Traffic+Seed at Dispatchers=1 and
-// Dispatchers=4 must retire identical per-flow packet sequences —
-// every flow complete, every flow in strict FlowSeq order (OOO==0),
-// zero drops — under fencing and a snapshot-driven migration storm.
+// conformance gate: the same Traffic+Seed on one inline shard and at
+// Dispatchers=1 and Dispatchers=4 must retire identical per-flow packet
+// sequences — every flow complete, every flow in strict FlowSeq order
+// (OOO==0), zero drops — under fencing and a migration storm (live
+// scheduler decisions inline, snapshot-driven when sharded).
 func TestShardedConformanceAcrossShardCounts(t *testing.T) {
 	run := func(shards int) (*Result, *flowLog) {
 		fl := newFlowLog()
-		e, err := NewSharded(Config{
+		cfg := Config{
 			Workers:     4,
 			Dispatchers: shards,
 			RingCap:     64,
@@ -202,7 +203,12 @@ func TestShardedConformanceAcrossShardCounts(t *testing.T) {
 			Sched:       &snapFlap{n: 4, period: 300},
 			Policy:      BlockWhenFull,
 			Handler:     fl.handler,
-		})
+		}
+		newEngine := NewSharded
+		if shards == 0 {
+			newEngine = New
+		}
+		e, err := newEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,28 +225,30 @@ func TestShardedConformanceAcrossShardCounts(t *testing.T) {
 		return res, fl
 	}
 	res1, log1 := run(1)
-	res4, log4 := run(4)
-	if res1.Processed != res4.Processed {
-		t.Fatalf("retired counts differ: Dispatchers=1 %d vs Dispatchers=4 %d",
-			res1.Processed, res4.Processed)
-	}
-	if len(log1.seqs) != len(log4.seqs) {
-		t.Fatalf("flow sets differ: %d vs %d flows", len(log1.seqs), len(log4.seqs))
-	}
-	for f, s1 := range log1.seqs {
-		s4, ok := log4.seqs[f]
-		if !ok {
-			t.Fatalf("flow %v retired at Dispatchers=1 but missing at 4", f)
+	for _, shards := range []int{0, 4} {
+		resN, logN := run(shards)
+		if res1.Processed != resN.Processed {
+			t.Fatalf("retired counts differ: Dispatchers=1 %d vs Dispatchers=%d %d",
+				res1.Processed, shards, resN.Processed)
 		}
-		if len(s1) != len(s4) {
-			t.Fatalf("flow %v: %d packets at Dispatchers=1 vs %d at 4", f, len(s1), len(s4))
+		if len(log1.seqs) != len(logN.seqs) {
+			t.Fatalf("flow sets differ: %d vs %d flows (Dispatchers=%d)", len(log1.seqs), len(logN.seqs), shards)
 		}
-		for i := range s1 {
-			// Fencing makes each run's per-flow retirement strictly
-			// FlowSeq-ordered, so both must be the identity sequence.
-			if s1[i] != uint64(i) || s4[i] != uint64(i) {
-				t.Fatalf("flow %v retired out of sequence at position %d: %d (D=1) / %d (D=4)",
-					f, i, s1[i], s4[i])
+		for f, s1 := range log1.seqs {
+			sN, ok := logN.seqs[f]
+			if !ok {
+				t.Fatalf("flow %v retired at Dispatchers=1 but missing at %d", f, shards)
+			}
+			if len(s1) != len(sN) {
+				t.Fatalf("flow %v: %d packets at Dispatchers=1 vs %d at %d", f, len(s1), len(sN), shards)
+			}
+			for i := range s1 {
+				// Fencing makes each run's per-flow retirement strictly
+				// FlowSeq-ordered, so both must be the identity sequence.
+				if s1[i] != uint64(i) || sN[i] != uint64(i) {
+					t.Fatalf("flow %v retired out of sequence at position %d: %d (D=1) / %d (D=%d)",
+						f, i, s1[i], sN[i], shards)
+				}
 			}
 		}
 	}
@@ -376,7 +384,7 @@ func TestShardedTelemetry(t *testing.T) {
 // TestShardedValidation covers construction errors on both engines.
 func TestShardedValidation(t *testing.T) {
 	if _, err := New(Config{Workers: 1, Sched: snapHash{n: 1}, Dispatchers: 2}); err == nil {
-		t.Fatal("legacy engine accepted Dispatchers > 0")
+		t.Fatal("New accepted Dispatchers > 0")
 	}
 	if _, err := NewSharded(Config{Workers: 1, Sched: snapHash{n: 1}}); err == nil {
 		t.Fatal("sharded engine accepted Dispatchers < 1")

@@ -19,7 +19,7 @@ func noteMax(m *atomic.Int64, v int64) {
 	}
 }
 
-// engineTel bundles the live engines' histogram handles. The zero
+// engineTel bundles the engine's histogram handles. The zero
 // value is fully disabled: every field is a nil *telemetry.Hist whose
 // Record is a no-op, so instrument sites call Record unconditionally
 // and test `on` only to skip clock reads.
@@ -28,8 +28,8 @@ func noteMax(m *atomic.Int64, v int64) {
 //
 //   - latency/ringWait/batchSvc/reorder*: lane = worker id, written by
 //     that worker's goroutine only.
-//   - fenceHold/recovery/staleness: lane = dispatcher/shard id (the
-//     legacy engine has exactly one, lane 0).
+//   - fenceHold/recovery/staleness: lane = shard id (an inline engine
+//     has exactly one, lane 0).
 type engineTel struct {
 	on bool
 
@@ -54,7 +54,7 @@ const (
 
 // newEngineTel registers the histogram families on reg: worker-lane
 // histograms with one lane per worker, plane-lane histograms with one
-// lane per dispatcher shard (planes; the legacy engine passes 1).
+// lane per shard (planes).
 func newEngineTel(reg *telemetry.Registry, workers, planes int) engineTel {
 	timeHist := func(name, help string, lanes int) *telemetry.Hist {
 		return reg.NewHist(telemetry.HistOpts{
@@ -89,34 +89,25 @@ func (t *engineTel) forWorkers() *engineTel {
 
 func workerLabel(i int) string { return `worker="` + strconv.Itoa(i) + `"` }
 
-// registerEngineMetrics wires the legacy engine's counters and gauges
-// as scrape-time closures over its atomics. Everything read here is an
-// atomic or an immutable field, so scraping never races the
-// dispatcher or the workers.
-func registerEngineMetrics(reg *telemetry.Registry, e *Engine) {
-	reg.Counter("laps_dispatched_total", "Packets offered to the scheduler.", e.dispatched.Load)
-	reg.Counter("laps_processed_total", "Packets retired by workers.", func() uint64 {
-		var n uint64
-		for _, w := range e.workers {
-			n += w.processed.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_dropped_total", "Packets lost to full rings.", e.dropped.Load)
-	reg.Counter("laps_migrations_total", "Flows switched workers.", e.migrations.Load)
-	reg.Counter("laps_fenced_total", "Packets held on their old worker by a drain fence.", e.fenced.Load)
-	reg.Counter("laps_ooo_total", "Out-of-order departures.", func() uint64 {
-		var n uint64
-		for _, w := range e.workers {
-			n += w.ooo.Load()
-		}
-		return n
-	})
+// registerMetrics wires the engine's counters and gauges as
+// scrape-time closures over its atomics. Everything read here is an
+// atomic, an immutable field or a published view, so scraping never
+// races the shards, the control plane or the workers.
+func registerMetrics(reg *telemetry.Registry, e *Engine) {
+	total := func(c shardCounter) func() uint64 {
+		return func() uint64 { return e.total(c) }
+	}
+	reg.Counter("laps_dispatched_total", "Packets offered to the data plane.", e.dispatched.Load)
+	reg.Counter("laps_processed_total", "Packets retired by workers.", e.processed)
+	reg.Counter("laps_dropped_total", "Packets lost at ingress, to full rings, or stranded on dead workers.", e.dropped.Load)
+	reg.Counter("laps_migrations_total", "Flows switched workers.", total(cMigrations))
+	reg.Counter("laps_fenced_total", "Packets held on their old worker by a drain fence.", total(cFenced))
+	reg.Counter("laps_ooo_total", "Out-of-order departures.", e.ooo)
 	reg.Counter("laps_worker_stalls_total", "Stall detections by the health monitor.", e.stalls.Load)
 	reg.Counter("laps_worker_deaths_total", "Workers quarantined.", e.deaths.Load)
-	reg.Counter("laps_reinjected_total", "Stranded packets re-dispatched by recovery.", e.reinjected.Load)
-	reg.Counter("laps_recovered_flows_total", "Flows remapped off dead workers.", e.recovered.Load)
-	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", e.forced.Load)
+	reg.Counter("laps_reinjected_total", "Stranded packets re-dispatched by recovery.", total(cReinjected))
+	reg.Counter("laps_recovered_flows_total", "Flows remapped off dead workers.", total(cRecovered))
+	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", total(cForced))
 	// Bounded-memory (docs/SCALE.md) counters. The tracker sums are
 	// mutex-guarded per shard, so scraping them mid-run is safe.
 	reg.Counter("laps_estimated_ooo_total",
@@ -124,144 +115,12 @@ func registerEngineMetrics(reg *telemetry.Registry, e *Engine) {
 		e.tracker.estimatedOOO)
 	reg.Counter("laps_flow_budget_hits_total",
 		"Flow-budget degrade events: reorder tracking crossing exact to sketch, plus coarse-fence migrations.",
-		func() uint64 { return e.tracker.budgetHits() + e.budgetHits.Load() })
+		func() uint64 { return e.tracker.budgetHits() + e.total(cBudgetHits) })
 	reg.Counter("laps_evicted_flows_total",
 		"Per-flow reorder watermarks evicted to stay inside the flow budget.",
 		e.tracker.evicted)
-	reg.Gauge("laps_max_fence_hold_seconds", "Longest drain-fence hold so far.", func() float64 {
-		return float64(e.maxFenceHold.Load()) * 1e-9
-	})
-	reg.Gauge("laps_max_detect_seconds", "Worst fault-to-quarantine latency so far.", func() float64 {
-		return float64(e.maxDetect.Load()) * 1e-9
-	})
-	reg.Gauge("laps_workers_alive", "Workers not quarantined.", func() float64 {
-		n := 0
-		for i := range e.workers {
-			if !e.deadPub[i].Load() && e.workers[i].state.Load() != wsDead {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	for i, w := range e.workers {
-		i, w := i, w
-		reg.CounterL("laps_worker_processed_total", workerLabel(i),
-			"Packets retired, per worker.", w.processed.Load)
-		reg.GaugeL("laps_worker_queue_depth", workerLabel(i),
-			"Ring backlog plus in-service packets, per worker.", func() float64 {
-				return float64(w.queueLen())
-			})
-		reg.GaugeL("laps_worker_up", workerLabel(i),
-			"1 while the worker is alive and not quarantined.", func() float64 {
-				if e.deadPub[i].Load() || w.state.Load() == wsDead {
-					return 0
-				}
-				return 1
-			})
-	}
-}
-
-// Health reports per-worker liveness for /healthz: a worker is alive
-// until it is quarantined or its goroutine exits. Safe from any
-// goroutine.
-func (e *Engine) Health() []telemetry.WorkerState {
-	out := make([]telemetry.WorkerState, len(e.workers))
-	for i, w := range e.workers {
-		out[i] = telemetry.WorkerState{
-			ID:    i,
-			Alive: !e.deadPub[i].Load() && w.state.Load() != wsDead,
-		}
-	}
-	return out
-}
-
-// registerShardedMetrics wires the sharded engine's counters and
-// gauges. Same contract as registerEngineMetrics: atomics only.
-func registerShardedMetrics(reg *telemetry.Registry, e *Sharded) {
-	reg.Counter("laps_dispatched_total", "Packets offered at ingress.", e.dispatched.Load)
-	reg.Counter("laps_processed_total", "Packets retired by workers.", func() uint64 {
-		var n uint64
-		for _, w := range e.workers {
-			n += w.processed.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_dropped_total", "Packets lost at ingress or to full rings.", func() uint64 {
-		n := e.ingressDrops.Load()
-		for _, sh := range e.shards {
-			n += sh.dropped.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_migrations_total", "Flows switched workers.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.migrations.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_fenced_total", "Packets held on their old worker by a drain fence.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.fenced.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_ooo_total", "Out-of-order departures.", func() uint64 {
-		var n uint64
-		for _, w := range e.workers {
-			n += w.ooo.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_worker_stalls_total", "Stall detections by the health monitor.", e.stalls.Load)
-	reg.Counter("laps_worker_deaths_total", "Workers quarantined.", e.deaths.Load)
-	reg.Counter("laps_reinjected_total", "Stranded packets re-dispatched by recovery.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.reinjected.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_recovered_flows_total", "Flows remapped off dead workers.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.recovered.Load()
-		}
-		return n
-	})
-	reg.Counter("laps_forced_releases_total", "Fences force-released against undrainable workers.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.forced.Load()
-		}
-		return n
-	})
-	// Bounded-memory (docs/SCALE.md) counters; mutex-guarded tracker
-	// sums plus per-shard atomics, safe to scrape mid-run.
-	reg.Counter("laps_estimated_ooo_total",
-		"Out-of-order departures flagged by the sketch estimator; a subset of laps_ooo_total, 0 in exact mode.",
-		e.tracker.estimatedOOO)
-	reg.Counter("laps_flow_budget_hits_total",
-		"Flow-budget degrade events: reorder tracking crossing exact to sketch, plus coarse-fence migrations.",
-		func() uint64 {
-			n := e.tracker.budgetHits()
-			for _, sh := range e.shards {
-				n += sh.budgetHits.Load()
-			}
-			return n
-		})
-	reg.Counter("laps_evicted_flows_total",
-		"Per-flow reorder watermarks evicted to stay inside the flow budget.",
-		e.tracker.evicted)
-	reg.Counter("laps_snapshots_total", "Forwarding views published by the control plane.", e.snapshots.Load)
-	reg.Counter("laps_feedback_dropped_total", "Sampled observations lost to full feedback channels.", func() uint64 {
-		var n uint64
-		for _, sh := range e.shards {
-			n += sh.feedbackDropped.Load()
-		}
-		return n
-	})
+	reg.Counter("laps_snapshots_total", "Forwarding views published by the control plane (0 when inline).", e.snapshots.Load)
+	reg.Counter("laps_feedback_dropped_total", "Sampled observations lost to full feedback channels.", total(cFeedbackDropped))
 	reg.Gauge("laps_max_fence_hold_seconds", "Longest drain-fence hold so far.", func() float64 {
 		return float64(e.maxFenceHold.Load()) * 1e-9
 	})
@@ -271,13 +130,19 @@ func registerShardedMetrics(reg *telemetry.Registry, e *Sharded) {
 	reg.Gauge("laps_max_detect_seconds", "Worst fault-to-quarantine latency so far.", func() float64 {
 		return float64(e.maxDetect.Load()) * 1e-9
 	})
-	reg.Gauge("laps_workers_alive", "Workers the published view routes to.", func() float64 {
-		if v := e.view.Load(); v != nil {
-			return float64(len(v.live))
+	reg.Gauge("laps_workers_alive", "Workers the published view routes to and whose goroutines run.", func() float64 {
+		n := 0
+		for i := range e.workers {
+			if e.aliveInView(i) {
+				n++
+			}
 		}
-		return float64(len(e.workers))
+		return float64(n)
 	})
 	for i, sh := range e.shards {
+		if sh.in == nil {
+			continue
+		}
 		sh := sh
 		reg.GaugeL("laps_shard_ingress_depth", `shard="`+strconv.Itoa(i)+`"`,
 			"Ingress ring backlog, per shard.", func() float64 {
@@ -305,7 +170,7 @@ func registerShardedMetrics(reg *telemetry.Registry, e *Sharded) {
 // aliveInView reports worker i's health as the last published view saw
 // it (views are immutable, so this is safe from any goroutine), ANDed
 // with the worker goroutine actually running.
-func (e *Sharded) aliveInView(i int) bool {
+func (e *Engine) aliveInView(i int) bool {
 	v := e.view.Load()
 	if v != nil && v.health[i] != whAlive {
 		return false
@@ -314,8 +179,9 @@ func (e *Sharded) aliveInView(i int) bool {
 }
 
 // Health reports per-worker liveness for /healthz, read from the
-// published forwarding view. Safe from any goroutine.
-func (e *Sharded) Health() []telemetry.WorkerState {
+// published view: a worker is alive until it is quarantined or its
+// goroutine exits. Safe from any goroutine.
+func (e *Engine) Health() []telemetry.WorkerState {
 	out := make([]telemetry.WorkerState, len(e.workers))
 	for i := range e.workers {
 		out[i] = telemetry.WorkerState{ID: i, Alive: e.aliveInView(i)}

@@ -52,12 +52,11 @@ const (
 const slowBatchDelay = 50 * time.Microsecond
 
 // worker is one emulated core: a goroutine consuming one SPSC ring per
-// dispatcher shard. The legacy single-dispatcher Engine gives every
-// worker exactly one ring; the sharded engine gives it one ring per
-// ingress shard, so every (shard, worker) pair keeps a single producer
-// and a single consumer and the whole data plane stays lock-free.
+// shard (one ring when the engine runs a single inline shard), so every
+// (shard, worker) pair keeps a single producer and a single consumer
+// and the whole data plane stays lock-free.
 //
-// All cross-goroutine fields are atomics: the dispatcher reads
+// All cross-goroutine fields are atomics: the shards read
 // processed/inflight/idleSince to answer scheduler View queries and to
 // resolve migration fences; the sampler goroutine reads the counters
 // for time-series probes; the health monitor reads state and faultAt.
@@ -285,9 +284,8 @@ func (w *worker) applyFault() bool {
 	return false
 }
 
-// seize takes the rings' consumer role away from the worker so the
-// dispatcher (or, in sharded mode, each shard for its own ring) can
-// drain them. It succeeds when the worker is parked (wsIdle — including
+// seize takes the rings' consumer role away from the worker so each
+// shard can drain its own ring. It succeeds when the worker is parked (wsIdle — including
 // mid-stall) or already dead; it fails for a worker wedged mid-batch
 // (wsActive), which recovery must then leave alone.
 func (w *worker) seize() bool {

@@ -28,8 +28,8 @@ type (
 	// cores), WorkSleep sleeps for it (latency-bound, scales with
 	// worker count).
 	WorkKind = rt.WorkKind
-	// EngineStats are the live engine's end-of-run counters (both the
-	// single-dispatcher engine and the sharded data plane produce them).
+	// EngineStats are the live engine's end-of-run counters (inline and
+	// async shards produce the same ones).
 	EngineStats = rt.Result
 	// WorkerReport is one live worker's accounting.
 	WorkerReport = rt.WorkerReport
@@ -81,16 +81,16 @@ type RunConfig struct {
 	RingCap int
 	// Batch is the dispatch/consume batch size; 0 means 32.
 	Batch int
-	// Dispatchers, when > 0, replaces the single dispatcher goroutine
-	// with the sharded data plane: N ingress shards partition flows by
-	// CRC16 over the 5-tuple and resolve packet→worker lock-free against
-	// an immutable forwarding snapshot, while a control-plane goroutine
-	// runs the real scheduler off sampled observations and republishes
-	// the snapshot on every state change (see docs/RUNTIME.md). Requires
+	// Dispatchers, when > 0, runs N async shards in place of the inline
+	// one: they partition flows by CRC16 over the 5-tuple and resolve
+	// packet→worker lock-free against an immutable forwarding snapshot,
+	// while a control-plane goroutine runs the real scheduler off
+	// sampled observations and republishes the snapshot on every state
+	// change (see docs/RUNTIME.md). Requires
 	// a scheduler that can publish forwarding snapshots (LAPS, remapped
 	// or not); incompatible with shadow mode, whose point is exact
-	// per-decision conformance. 0 keeps the classic single-dispatcher
-	// engine.
+	// per-decision conformance. 0 runs one inline shard that consults
+	// the scheduler on the arrival goroutine.
 	Dispatchers int
 
 	// RateScale multiplies all rates (scaled-down experiments).
@@ -130,9 +130,6 @@ type RunConfig struct {
 	// MetricsInterval, when positive, samples per-worker queue depths
 	// and rates on the wall clock into EngineStats.Series.
 	MetricsInterval time.Duration
-	// ReorderCap bounds the egress reorder tracker's per-flow state;
-	// 0 keeps exact tracking.
-	ReorderCap int
 
 	// Metrics, when non-nil, has the engine register its live telemetry
 	// — latency/ring-wait/reorder/fence/recovery histograms, counters,
@@ -293,7 +290,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 }
 
 // liveConfig builds the runtime configuration shared by both Run modes
-// and both live engines (single-dispatcher and sharded).
+// and both shard shapes (inline and async).
 func liveConfig(cfg RunConfig, workers int, scheduler npsim.Scheduler, policy rt.Policy) rt.Config {
 	return rt.Config{
 		Workers:         workers,
@@ -308,18 +305,11 @@ func liveConfig(cfg RunConfig, workers int, scheduler npsim.Scheduler, policy rt
 		Handler:         cfg.Handler,
 		Recorder:        cfg.Trace,
 		MetricsInterval: cfg.MetricsInterval,
-		ReorderCap:      cfg.ReorderCap,
 		FlowBudget:      cfg.FlowBudget,
 		Memory:          cfg.Memory,
 		Faults:          cfg.Faults,
 		DetectWindow:    cfg.DetectWindow,
 	}
-}
-
-// newLiveEngine builds the single-dispatcher runtime engine shared by
-// both Run modes.
-func newLiveEngine(cfg RunConfig, workers int, scheduler npsim.Scheduler, policy rt.Policy) (*rt.Engine, error) {
-	return rt.New(liveConfig(cfg, workers, scheduler, policy))
 }
 
 // runLive is the normal mode: the virtual-clock arrival process feeds
@@ -411,46 +401,19 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 	if wantAdmin && reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	// Both engines are driven through the same hooks so the arrival
-	// loop below stays engine-agnostic. feedBurst is the vector variant
-	// the UDP front door uses: one datagram's packets dispatched as one
-	// burst (see docs/PERFORMANCE.md, "The burst path").
-	var (
-		start     func(context.Context)
-		feed      func(*packet.Packet)
-		feedBurst func([]*packet.Packet)
-		flush     func()
-		stop      func() *rt.Result
-		health    func() []telemetry.WorkerState
-	)
+	// Dispatchers picks the shard shape: one inline shard scheduling on
+	// this goroutine, or async shards behind a control plane. Both are
+	// the same engine type, driven the same way below.
+	lc := liveConfig(cfg, cfg.Workers, scheduler, policy)
+	lc.Pool = pool
+	lc.Telemetry = reg
+	newEngine := rt.New
 	if cfg.Dispatchers > 0 {
-		lc := liveConfig(cfg, cfg.Workers, scheduler, policy)
-		lc.Pool = pool
-		lc.Telemetry = reg
-		sharded, err := rt.NewSharded(lc)
-		if err != nil {
-			return nil, err
-		}
-		start = sharded.Start
-		feed = func(p *packet.Packet) { sharded.Ingest(p) }
-		feedBurst = func(ps []*packet.Packet) { sharded.IngestBurst(ps) }
-		flush = func() {} // shards drain their own ingress rings when idle
-		stop = sharded.Stop
-		health = sharded.Health
-	} else {
-		lc := liveConfig(cfg, cfg.Workers, scheduler, policy)
-		lc.Pool = pool
-		lc.Telemetry = reg
-		live, err := rt.New(lc)
-		if err != nil {
-			return nil, err
-		}
-		start = live.Start
-		feed = func(p *packet.Packet) { live.Dispatch(p) }
-		feedBurst = func(ps []*packet.Packet) { live.DispatchBurst(ps) }
-		flush = live.Flush
-		stop = live.Stop
-		health = live.Health
+		newEngine = rt.NewSharded
+	}
+	live, err := newEngine(lc)
+	if err != nil {
+		return nil, err
 	}
 	var adminAddr string
 	if wantAdmin {
@@ -461,7 +424,7 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 				return nil, fmt.Errorf("laps: admin endpoint: %w", err)
 			}
 		}
-		srv := &http.Server{Handler: telemetry.NewAdminMux(reg, health)}
+		srv := &http.Server{Handler: telemetry.NewAdminMux(reg, live.Health)}
 		go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 		defer srv.Close()
 		adminAddr = ln.Addr().String()
@@ -472,7 +435,7 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 	}
 
 	if cfg.Ingress != nil {
-		return runIngress(cfg, ctx, reg, adminAddr, scheduler, pool, start, feedBurst, flush, stop)
+		return runIngress(cfg, ctx, reg, adminAddr, scheduler, pool, live)
 	}
 
 	// The sim engine here is purely an arrival sequencer: it runs the
@@ -489,7 +452,7 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 	if cfg.CBRArrivals {
 		arrivals = traffic.CBR
 	}
-	start(ctx)
+	live.Start(ctx)
 	wallStart := time.Now()
 	sink := func(p *packet.Packet) {
 		if ctx.Err() != nil {
@@ -501,11 +464,11 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 			// virtual timestamp at the requested playback speed.
 			target := time.Duration(float64(p.Arrival) / cfg.Pace)
 			if wait := target - time.Since(wallStart); wait > 0 {
-				flush() // publish partial batches before idling
+				live.Flush() // publish partial batches before idling
 				time.Sleep(wait)
 			}
 		}
-		feed(p)
+		live.Dispatch(p)
 	}
 	gen := traffic.NewGenerator(eng, traffic.Config{
 		Sources:         sources,
@@ -518,7 +481,7 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 	}, sink)
 	gen.Start()
 	eng.Run()
-	stats := stop()
+	stats := live.Stop()
 
 	res := &RunResult{
 		Live:      *stats,
@@ -537,19 +500,18 @@ func runLive(cfg RunConfig) (*RunResult, error) {
 // runIngress drives the live engine from the UDP front door instead of
 // the virtual-clock arrival process: socket-reader goroutines (one per
 // SO_REUSEPORT socket) decode datagrams and feed each one's packets to
-// the dispatcher as a single burst until the context is cancelled or
-// the wall-clock Duration elapses, then the group drains the kernel
-// buffers (bounded by DrainGrace) and the engine drains its rings.
+// the engine as a single burst until the context is cancelled or the
+// wall-clock Duration elapses, then the group drains the kernel buffers
+// (bounded by DrainGrace) and the engine drains its rings.
 func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminAddr string,
-	scheduler npsim.Scheduler, pool *packet.Pool,
-	start func(context.Context), feedBurst func([]*packet.Packet), flush func(), stop func() *rt.Result,
+	scheduler npsim.Scheduler, pool *packet.Pool, live *rt.Engine,
 ) (*RunResult, error) {
 	ic := cfg.Ingress
 	conns := ic.Conns
 	if ic.Conn != nil {
 		conns = []net.PacketConn{ic.Conn}
 	}
-	sink := feedBurst
+	sink := func(ps []*packet.Packet) { live.DispatchBurst(ps) }
 	if cfg.Context != nil {
 		// A cancelled run must not keep dispatching what the drain reads
 		// out of the kernel buffers: recycle those packets instead.
@@ -560,7 +522,7 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 				}
 				return
 			}
-			feedBurst(ps)
+			live.DispatchBurst(ps)
 		}
 	}
 	// The fill histogram needs a lane per socket before the group
@@ -576,8 +538,8 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 	}
 	if reg != nil {
 		fill = reg.NewHist(telemetry.HistOpts{
-			Name: "laps_ingress_batch_fill_percent",
-			Help: "Receive-batch fill: datagrams received per batch as a percentage of vector slots offered.",
+			Name:   "laps_ingress_batch_fill_percent",
+			Help:   "Receive-batch fill: datagrams received per batch as a percentage of vector slots offered.",
 			MinExp: 0, MaxExp: 7, Lanes: lanes,
 		})
 	}
@@ -590,7 +552,7 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 		MaxBatch:      ic.MaxBatch,
 		Pool:          pool,
 		BurstSink:     sink,
-		Flush:         flush,
+		Flush:         live.Flush,
 		ReadBuffer:    ic.ReadBuffer,
 		DrainGrace:    ic.DrainGrace,
 		FillHist:      fill,
@@ -607,7 +569,7 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 			"Datagrams rejected by the wire decoder.", grp.Malformed)
 		registerIngressSocketMetrics(reg, grp)
 	}
-	start(ctx)
+	live.Start(ctx)
 	grp.Start(ctx)
 	var timeout <-chan time.Time
 	if cfg.Duration > 0 {
@@ -623,7 +585,7 @@ func runIngress(cfg RunConfig, ctx context.Context, reg *MetricsRegistry, adminA
 	// the feeding goroutines are quiet before the engine drains its
 	// rings.
 	st := grp.Stop()
-	stats := stop()
+	stats := live.Stop()
 	if err := grp.Err(); err != nil {
 		return nil, fmt.Errorf("laps: ingress receive: %w", err)
 	}
@@ -722,7 +684,7 @@ func runShadow(cfg RunConfig) (*RunResult, error) {
 	if sharedQueue {
 		return nil, fmt.Errorf("laps: %s has no per-packet decisions to mirror", FCFS)
 	}
-	live, err := newLiveEngine(cfg, simCfg.Cores, scheduler, rt.BlockWhenFull)
+	live, err := rt.New(liveConfig(cfg, simCfg.Cores, scheduler, rt.BlockWhenFull))
 	if err != nil {
 		return nil, err
 	}
